@@ -8,20 +8,18 @@ effective for every value of the compressibility parameter.
 
 __version__ = "0.1.0"
 
-from .mesh import Mesh, build_uniform_mesh, classify_boundary, dump_mesh
+from .mesh import Mesh, build_uniform_mesh, dump_mesh
 from .fem import (AssembledSystem, DofSpace, ManufacturedProblem,
-                  MaterialParameters, ReducedSystem, apply_dirichlet,
-                  apply_lambda_operator, assemble_div,
+                  ReducedSystem, apply_dirichlet, assemble_div,
                   assemble_epsilon_stiffness, assemble_load, assemble_mass,
                   assemble_pressure_mass, assemble_system, build_space,
-                  compute_errors, interpolate, lambda_operator_matrix)
+                  compute_errors, interpolate)
 from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,
                             dense_symmetric_generalized_eigs, factor_spd,
-                            factor_symmetric_indefinite, read_coo_text,
-                            tridiagonal_eigs, write_coo_text)
+                            factor_symmetric_indefinite, tridiagonal_eigs)
 from .solver import (InfSupReport, NormEquivalenceError, PcgConvergenceError,
                      Preconditioner, SolveReport, StokesProjector,
-                     build_preconditioner, build_projector,
+                     build_projector,
                      dense_preconditioned_spectrum, dense_preconditioner_matrix,
                      estimate_condition, measure_inf_sup, pcg_solve,
                      sharpened_condition_estimate, verify_norm_equivalence)

@@ -5,8 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -46,15 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
                        default=(0.25, 0.4, 0.49, 0.499, 0.4999), metavar="NU1,NU2,...")
     bench.add_argument("--tol", type=float, default=1e-6)
     bench.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--max-level-guard", type=int, default=6)
     bench.add_argument("--projection", choices=["diagonal", "exact"],
                        default="diagonal",
                        help="pressure-projection realization in the operator")
     bench.add_argument("--out", default=None, metavar="FILE")
 
-    fourier = sub.add_parser("fourier-check", help="per-mode identity sweeps")
-    fourier.add_argument("--modes", type=int, default=1000)
+    fourier = sub.add_parser("fourier-check",
+                             help="run the verification suite's periodic-mode checks")
     fourier.add_argument("--seed", type=int, default=0)
     fourier.add_argument("--out", default=None, metavar="FILE")
 
@@ -78,7 +75,7 @@ def _cmd_bench(args) -> int:
     try:
         config = ExperimentConfig(pairs=pairs, levels=args.levels,
                                   nu_values=args.nu, tolerance=args.tol,
-                                  report_format=fmt, seed=args.seed,
+                                  report_format=fmt,
                                   max_level_guard=args.max_level_guard,
                                   projection=args.projection)
     except ValueError as exc:
@@ -101,45 +98,8 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fourier(args) -> int:
-    from . import fourier
-
-    rng = np.random.default_rng(args.seed)
-    stream, close = _open_out(args.out)
-    failed = False
-    try:
-        for dim in (2, 3):
-            worst_convex = worst_idem = worst_stokes = 0.0
-            for _ in range(args.modes):
-                xi = rng.uniform(-10.0, 10.0, size=dim)
-                while np.linalg.norm(xi) < 0.5:
-                    xi = rng.uniform(-10.0, 10.0, size=dim)
-                fhat = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                lam = float(rng.choice([0.0, 10.0 ** rng.uniform(-2.0, 8.0)]))
-                t = float(rng.choice([rng.uniform(-0.99, 2.0),
-                                      10.0 ** rng.uniform(0.0, 6.0)]))
-                worst_convex = max(worst_convex,
-                                   fourier.verify_convex_combination(xi, lam, fhat))
-                worst_idem = max(worst_idem,
-                                 fourier.verify_inverse_idempotent(t, xi) / (1.0 + abs(t)))
-                worst_stokes = max(worst_stokes,
-                                   fourier.stokes_symbol_residual(xi, fhat)
-                                   / np.linalg.norm(fhat))
-            stream.write(f"dim {dim}: max convex-combination residual {worst_convex:.3e}, "
-                         f"max scaled inverse-idempotent residual {worst_idem:.3e}, "
-                         f"max scaled saddle residual {worst_stokes:.3e}\n")
-            failed |= worst_convex > 1e-12 or worst_idem > 1e-13 or worst_stokes > 1e-13
-    finally:
-        if close:
-            stream.close()
-    return EXIT_VERIFY if failed else EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    from .bench import run_verification_suite
-
-    outcomes = run_verification_suite(seed=args.seed)
-    stream, close = _open_out(args.out)
+def _write_outcomes(outcomes, path) -> int:
+    stream, close = _open_out(path)
     try:
         for outcome in outcomes:
             status = "PASS" if outcome.passed else "FAIL"
@@ -148,6 +108,18 @@ def _cmd_verify(args) -> int:
         if close:
             stream.close()
     return EXIT_OK if all(o.passed for o in outcomes) else EXIT_VERIFY
+
+
+def _cmd_fourier(args) -> int:
+    from .bench import run_fourier_checks
+
+    return _write_outcomes(run_fourier_checks(seed=args.seed), args.out)
+
+
+def _cmd_verify(args) -> int:
+    from .bench import run_verification_suite
+
+    return _write_outcomes(run_verification_suite(seed=args.seed), args.out)
 
 
 def _cmd_mesh_info(args) -> int:

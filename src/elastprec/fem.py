@@ -21,12 +21,14 @@ constants the two coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
 from .quadrature import RULE_DEGREE5, RULE_DEGREE6, TriangleRule
+from .sparse_linalg import Factorization, factor_spd
 
 ELEMENT_KINDS = ("p0", "p1", "p2", "p2v")
 
@@ -123,30 +125,6 @@ def build_space(mesh: Mesh, kind: str) -> DofSpace:
         points,
         dirichlet_mask=np.concatenate([scalar_boundary, scalar_boundary]),
     )
-
-
-@dataclass(frozen=True)
-class MaterialParameters:
-    """Poisson ratio and the dimensionless scaled Lame parameter.
-
-    The shear modulus is scaled out of the problem, leaving
-    ``lam = nu / (1 - 2 nu)``; near-incompressibility is ``lam -> inf``.
-    """
-
-    nu: float
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.nu < 0.5:
-            raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
-        if self.lam < 0.0:
-            raise ValueError(f"scaled parameter must be nonnegative, got {self.lam}")
-
-    @classmethod
-    def from_poisson(cls, nu: float) -> "MaterialParameters":
-        if not 0.0 <= nu < 0.5:
-            raise ValueError(f"Poisson ratio must lie in [0, 0.5), got {nu}")
-        return cls(nu=nu, lam=nu / (1.0 - 2.0 * nu))
 
 
 class ManufacturedProblem:
@@ -355,27 +333,55 @@ def assemble_load(problem: ManufacturedProblem, V: DofSpace) -> np.ndarray:
 PROJECTION_MODES = ("diagonal", "exact")
 
 
-class _PressureProjectionMixin:
-    """Shared application of the pressure-space projection solve."""
+class _LambdaOperator:
+    """``A_lam = A + lam * B^T Pi B`` on the operators ``A``, ``B``, ``MQ``, ``D``."""
+
+    @cached_property
+    def mq_factor(self) -> Factorization:
+        """Factorization of the pressure mass, computed on first use."""
+        return factor_spd(self.MQ)
 
     def pressure_projection_apply(self, w: np.ndarray,
                                   projection: str = "diagonal") -> np.ndarray:
         if projection == "diagonal":
             return w / self.D
         if projection == "exact":
-            solve = getattr(self, "_mq_solve", None)
-            if solve is None:
-                from .sparse_linalg import factor_spd
-
-                solve = factor_spd(self.MQ).solve
-                self._mq_solve = solve
-            return solve(w)
+            return self.mq_factor.solve(w)
         raise ValueError(f"unknown projection mode {projection!r}; "
                          f"expected one of {PROJECTION_MODES}")
 
+    def apply_lambda(self, lam: float, v: np.ndarray,
+                     projection: str = "diagonal") -> np.ndarray:
+        """Apply ``A_lam`` without forming the product."""
+        if lam < 0.0:
+            raise ValueError(f"lambda must be nonnegative, got {lam}")
+        av = self.A @ v
+        if lam == 0.0:
+            return av
+        return av + lam * (self.B.T @ self.pressure_projection_apply(self.B @ v, projection))
+
+    def lambda_matrix(self, lam: float,
+                      projection: str = "diagonal") -> sp.csr_array:
+        """Explicit sparse ``A_lam`` (only needed for direct factorization).
+
+        With ``projection="exact"`` the triple product fills in; that path is
+        meant for small dense diagnostics only.
+        """
+        if lam < 0.0:
+            raise ValueError(f"lambda must be nonnegative, got {lam}")
+        if projection == "diagonal":
+            scaled = sp.diags_array(1.0 / self.D) @ self.B
+        else:
+            scaled = sp.csr_array(
+                self.pressure_projection_apply(self.B.toarray(), projection))
+        out = (self.A + lam * (self.B.T @ scaled)).tocsr()
+        out.sum_duplicates()
+        out.sort_indices()
+        return out
+
 
 @dataclass
-class AssembledSystem(_PressureProjectionMixin):
+class AssembledSystem(_LambdaOperator):
     """All operators of the discretized problem on the full dof set."""
 
     V: DofSpace
@@ -400,39 +406,8 @@ def assemble_system(mesh: Mesh, pressure_kind: str = "p0",
     return AssembledSystem(V=V, Q=Q, A=A, B=B, MQ=MQ, D=D, rhs=rhs)
 
 
-def apply_lambda_operator(system, lam: float, v: np.ndarray,
-                          projection: str = "diagonal") -> np.ndarray:
-    """Apply ``A_lam = A + lam * B^T Pi B`` without forming the product."""
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    av = system.A @ v
-    if lam == 0.0:
-        return av
-    return av + lam * (system.B.T @ system.pressure_projection_apply(system.B @ v, projection))
-
-
-def lambda_operator_matrix(system, lam: float,
-                           projection: str = "diagonal") -> sp.csr_array:
-    """Explicit sparse ``A_lam`` (only needed for direct factorization).
-
-    With ``projection="exact"`` the triple product fills in; that path is
-    meant for small dense diagnostics only.
-    """
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if projection == "diagonal":
-        scaled = sp.diags_array(1.0 / system.D) @ system.B
-    else:
-        scaled = sp.csr_array(
-            system.pressure_projection_apply(system.B.toarray(), projection))
-    out = (system.A + lam * (system.B.T @ scaled)).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
-
-
 @dataclass
-class ReducedSystem(_PressureProjectionMixin):
+class ReducedSystem(_LambdaOperator):
     """System restricted to the Dirichlet-free dofs, with boundary lift.
 
     The reduced right-hand side depends on the compressibility parameter
@@ -463,14 +438,6 @@ class ReducedSystem(_PressureProjectionMixin):
             return self._rhs_const.copy()
         lift_term = self.B.T @ self.pressure_projection_apply(self._b_lift, projection)
         return self._rhs_const - lam * lift_term
-
-    def apply_lambda(self, lam: float, v: np.ndarray,
-                     projection: str = "diagonal") -> np.ndarray:
-        return apply_lambda_operator(self, lam, v, projection)
-
-    def lambda_matrix(self, lam: float,
-                      projection: str = "diagonal") -> sp.csr_array:
-        return lambda_operator_matrix(self, lam, projection)
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
         """Recombine free-dof coefficients with the boundary lift."""

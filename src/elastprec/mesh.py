@@ -173,19 +173,6 @@ def _boundary_vertices(vertices: np.ndarray) -> np.ndarray:
     return (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
 
 
-def classify_boundary(mesh: Mesh):
-    """Recompute boundary flags from scratch.
-
-    Returns
-    -------
-    (vertex_flags, edge_flags)
-        Boolean arrays matching ``mesh.boundary_vertex_flags`` and
-        ``mesh.boundary_edge_flags``.  A vertex is flagged iff it lies on
-        the square's boundary; an edge iff it has a single adjacent cell.
-    """
-    return _boundary_vertices(mesh.vertices), mesh.edge_cells[:, 1] < 0
-
-
 def dump_mesh(mesh: Mesh, stream) -> None:
     """Write the mesh as plain text, one entity per line (debug aid)."""
     stream.write(f"mesh level={mesh.level} vertices={mesh.num_vertices} "

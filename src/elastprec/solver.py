@@ -14,19 +14,18 @@ factorization and one saddle factorization serve every material parameter.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fem import ReducedSystem
-from .sparse_linalg import (Factorization, factor_spd,
+from .sparse_linalg import (_DENSE_LIMIT, Factorization,
+                            dense_symmetric_generalized_eigs, factor_spd,
                             factor_symmetric_indefinite, tridiagonal_eigs)
 
 # Relative residual below which a Krylov run has hit the noise floor.
 _BREAKDOWN_RTOL = 1e-15
-
-_DENSE_LIMIT = 2200
 
 
 class PcgConvergenceError(RuntimeError):
@@ -72,6 +71,7 @@ class StokesProjector:
     """
 
     def __init__(self, A: sp.csr_array, B: sp.csr_array, MQ: sp.csr_array):
+        self.A = A
         self.n_velocity = A.shape[1]
         self.n_pressure = B.shape[0]
         self.pinned_dof = self.n_pressure - 1
@@ -95,10 +95,9 @@ class StokesProjector:
         """
         return self._solve(g)[: self.n_velocity]
 
-    def project(self, w: np.ndarray, A: sp.csr_array | None = None) -> np.ndarray:
+    def project(self, w: np.ndarray) -> np.ndarray:
         """Apply the projection ``P`` to primal coefficients ``w``."""
-        A = self._A if A is None else A
-        return self.project_dual(A @ w)
+        return self.project_dual(self.A @ w)
 
     def solve_with_pressure(self, g: np.ndarray):
         """Return ``(velocity, multiplier)`` with zero-mean multiplier."""
@@ -109,15 +108,10 @@ class StokesProjector:
         p = p - ones @ (self._mq @ p)  # domain has unit measure
         return v, p
 
-    # set by the factory below so ``project`` can be called without arguments
-    _A: sp.csr_array | None = None
-
 
 def build_projector(reduced: ReducedSystem) -> StokesProjector:
     """Stokes projector on the Dirichlet-free space of a reduced system."""
-    proj = StokesProjector(reduced.A, reduced.B, reduced.MQ)
-    proj._A = reduced.A
-    return proj
+    return StokesProjector(reduced.A, reduced.B, reduced.MQ)
 
 
 class Preconditioner:
@@ -143,17 +137,6 @@ class Preconditioner:
         return w_proj * self.projector.project_dual(g) + w_plain * self.a_factor.solve(g)
 
 
-def build_preconditioner(reduced: ReducedSystem, lam: float,
-                         a_factor: Factorization | None = None,
-                         projector: StokesProjector | None = None) -> Preconditioner:
-    """Assemble the preconditioner, reusing factorizations when supplied."""
-    if a_factor is None:
-        a_factor = factor_spd(reduced.A)
-    if projector is None:
-        projector = build_projector(reduced)
-    return Preconditioner(lam, a_factor, projector)
-
-
 def _as_apply(preconditioner):
     if preconditioner is None:
         return lambda r: r
@@ -163,10 +146,11 @@ def _as_apply(preconditioner):
 
 
 def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
-              max_iterations: int = 500, stop_rule: str = "true",
-              force_iterations: int | None = None, reorthogonalize: bool = False,
-              record_iterates: bool = False):
+              max_iterations: int = 500, force_iterations: int | None = None):
     """Preconditioned conjugate gradients with Lanczos bookkeeping.
+
+    The iteration stops on the true relative residual ``||b - A x|| / ||b||``,
+    recomputed every step.
 
     Parameters
     ----------
@@ -177,19 +161,12 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     preconditioner : object with ``apply``, callable, or None
     tol : float
         Relative residual tolerance.
-    stop_rule : {"true", "preconditioned"}
-        "true" recomputes ``||b - A x|| / ||b||`` each iteration (default);
-        "preconditioned" uses the recursively available ``sqrt(r' M r)``
-        relative to its initial value.
     force_iterations : int, optional
         Run exactly this many iterations (stopping only at the round-off
         floor), regardless of the tolerance.  Used to sharpen spectrum
-        estimates.
-    reorthogonalize : bool
-        Re-orthogonalize residuals against all previous ones; keeps the
-        Lanczos recurrence faithful past convergence.
-    record_iterates : bool
-        Store every iterate on the report (diagnostics only).
+        estimates.  A forced run re-orthogonalizes each residual against
+        all previous ones, which keeps the Lanczos recurrence faithful past
+        convergence.
 
     Returns
     -------
@@ -201,8 +178,6 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         If the iteration cap is hit before the tolerance (tolerance-driven
         runs only).
     """
-    if stop_rule not in ("true", "preconditioned"):
-        raise ValueError(f"unknown stop rule {stop_rule!r}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     apply_m = _as_apply(preconditioner)
@@ -219,16 +194,16 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     r = rhs.copy()
     z = apply_m(r)
     rz = float(r @ z)
-    denom0 = np.sqrt(rz) if rz > 0 else norm_b
     p = z.copy()
 
     history = [1.0]
     alphas: list[float] = []
     betas: list[float] = []
-    iterates: list[np.ndarray] = []
-    basis: list[tuple[np.ndarray, np.ndarray, float]] = [(r.copy(), z.copy(), rz)]
+    forced = force_iterations is not None
+    # (r, z, r'z) of every step so far; kept by forced runs only
+    basis = [(r.copy(), z.copy(), rz)] if forced else None
 
-    target = force_iterations if force_iterations is not None else max_iterations
+    target = force_iterations if forced else max_iterations
     target = min(target, rhs.size)
     converged = False
 
@@ -246,7 +221,7 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         alphas.append(alpha)
 
         z = apply_m(r)
-        if reorthogonalize:
+        if forced:
             for _ in range(2):
                 for r_j, z_j, rz_j in basis:
                     c = float(z_j @ r) / rz_j
@@ -254,15 +229,10 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
                     z -= c * z_j
         rz_next = float(r @ z)
 
-        if stop_rule == "true":
-            res = float(np.linalg.norm(rhs - op(x)) / norm_b)
-        else:
-            res = float(np.sqrt(max(rz_next, 0.0)) / denom0)
+        res = float(np.linalg.norm(rhs - op(x)) / norm_b)
         history.append(res)
-        if record_iterates:
-            iterates.append(x.copy())
 
-        if force_iterations is None and res <= tol:
+        if not forced and res <= tol:
             converged = True
             break
         if res <= _BREAKDOWN_RTOL or rz_next <= 0.0:
@@ -276,14 +246,13 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         betas.append(beta)
         rz = rz_next
         p = z + beta * p
-        basis.append((r.copy(), z.copy(), rz))
+        if forced:
+            basis.append((r.copy(), z.copy(), rz))
 
     diag, offdiag = _lanczos(alphas, betas)
     report = SolveReport(len(alphas), np.array(history), diag, offdiag,
                          converged, time.perf_counter() - started)
-    if record_iterates:
-        report.iterates = iterates
-    if force_iterations is None and not converged:
+    if not forced and not converged:
         raise PcgConvergenceError(
             f"PCG did not reach tolerance {tol:g} within {target} iterations "
             f"(last relative residual {history[-1]:.3e})", report)
@@ -325,8 +294,7 @@ def sharpened_condition_estimate(op, rhs, preconditioner,
     """
     if report is not None and report.iterations >= 10:
         return estimate_condition(report)
-    _, forced = pcg_solve(op, rhs, preconditioner,
-                          force_iterations=iterations, reorthogonalize=True)
+    _, forced = pcg_solve(op, rhs, preconditioner, force_iterations=iterations)
     return estimate_condition(forced)
 
 
@@ -343,12 +311,9 @@ def measure_inf_sup(A, B, MQ, level: int | None = None,
         raise ValueError(
             f"inf-sup measurement uses a dense path limited to {_DENSE_LIMIT} "
             f"velocity dofs, got {n}")
-    from .sparse_linalg import dense_symmetric_generalized_eigs
-
     a_factor = factor_spd(A)
     bt = B.T.toarray() if sp.issparse(B) else np.asarray(B).T
-    schur = (B @ a_factor.solve(bt)) if sp.issparse(B) else B @ a_factor.solve(bt)
-    schur = np.asarray(schur)
+    schur = np.asarray(B @ a_factor.solve(bt))
     schur = 0.5 * (schur + schur.T)
     mq = MQ.toarray() if sp.issparse(MQ) else np.asarray(MQ)
     vals = dense_symmetric_generalized_eigs(schur, mq)
@@ -362,20 +327,16 @@ def measure_inf_sup(A, B, MQ, level: int | None = None,
 
 
 def verify_norm_equivalence(reduced: ReducedSystem, projector: StokesProjector,
-                            beta_h: float, v: np.ndarray,
-                            mq_factor: Factorization | None = None,
-                            slack: float = 1e-10):
+                            beta_h: float, v: np.ndarray, slack: float = 1e-10):
     """Check ``beta_h <= ||Pi_h div v|| / ||eps(v - P v)|| <= sqrt(2)``.
 
     Returns the two slack values ``(dv - beta_h * e, sqrt(2) * e - dv)``;
     both must be at least ``-slack``, otherwise ``NormEquivalenceError``
-    is raised.  Pass a prefactored pressure mass to amortize sweeps.
+    is raised.  The pressure mass is factored once per system and reused.
     """
-    if mq_factor is None:
-        mq_factor = factor_spd(reduced.MQ)
     bv = reduced.B @ v
-    dv = float(np.sqrt(bv @ mq_factor.solve(bv)))
-    d = v - projector.project(v, reduced.A)
+    dv = float(np.sqrt(bv @ reduced.mq_factor.solve(bv)))
+    d = v - projector.project(v)
     e = float(np.sqrt(d @ (reduced.A @ d)))
 
     lower_slack = dv - beta_h * e
@@ -394,12 +355,7 @@ def dense_preconditioner_matrix(reduced: ReducedSystem, lam: float,
     n = reduced.dim
     if n > _DENSE_LIMIT:
         raise ValueError(f"dense preconditioner limited to {_DENSE_LIMIT} dofs, got {n}")
-    eye = np.eye(n)
-    w_proj = lam / (1.0 + lam)
-    w_plain = 1.0 / (1.0 + lam)
-    m = w_plain * a_factor.solve(eye)
-    if w_proj != 0.0:
-        m += w_proj * projector.project_dual(eye)
+    m = Preconditioner(lam, a_factor, projector).apply(np.eye(n))
     return 0.5 * (m + m.T)
 
 

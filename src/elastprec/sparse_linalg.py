@@ -11,10 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+
+# Largest matrix dimension the dense diagnostics (eigensolves, dense
+# preconditioner matrices) accept.
+_DENSE_LIMIT = 2200
 
 # Relative pivot threshold below which an "indefinite" factorization is
 # declared numerically singular.
@@ -31,7 +34,7 @@ class SingularMatrixError(ValueError):
 
 @dataclass
 class Factorization:
-    """Direct factorization with ordering metadata.
+    """Direct factorization with its pivot-sign counts.
 
     ``inertia`` is the sign count ``(positive, negative, zero)`` of the
     pivots; with row pivoting active it is a diagnostic estimate, not a
@@ -41,8 +44,6 @@ class Factorization:
     shape: tuple[int, int]
     spd: bool
     _lu: object
-    perm_r: np.ndarray
-    perm_c: np.ndarray
     inertia: tuple[int, int, int]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -80,8 +81,7 @@ def factor_spd(matrix) -> Factorization:
             f"matrix is not SPD: pivot {k} (original row {int(lu.perm_r[k])}) "
             f"is {pivots[k]:.3e}"
         )
-    return Factorization(csc.shape, True, lu, lu.perm_r, lu.perm_c,
-                         (int(pivots.size), 0, 0))
+    return Factorization(csc.shape, True, lu, (int(pivots.size), 0, 0))
 
 
 def factor_symmetric_indefinite(matrix) -> Factorization:
@@ -112,15 +112,15 @@ def factor_symmetric_indefinite(matrix) -> Factorization:
         )
     inertia = (int(np.sum(pivots > 0)), int(np.sum(pivots < 0)),
                int(np.sum(pivots == 0)))
-    return Factorization(csc.shape, False, lu, lu.perm_r, lu.perm_c, inertia)
+    return Factorization(csc.shape, False, lu, inertia)
 
 
 def dense_symmetric_generalized_eigs(K, M) -> np.ndarray:
     """All eigenvalues of ``K x = theta M x`` with ``M`` SPD, ascending."""
     K = np.asarray(K, dtype=float)
     M = np.asarray(M, dtype=float)
-    if K.shape[0] > 2200:
-        raise ValueError(f"dense eigensolve limited to ~2000 rows, got {K.shape[0]}")
+    if K.shape[0] > _DENSE_LIMIT:
+        raise ValueError(f"dense eigensolve limited to {_DENSE_LIMIT} rows, got {K.shape[0]}")
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -142,12 +142,3 @@ def tridiagonal_eigs(diag, offdiag) -> np.ndarray:
         return diag.copy()
     return scipy.linalg.eigh_tridiagonal(diag, offdiag, eigvals_only=True)
 
-
-def write_coo_text(path, matrix) -> None:
-    """Dump a sparse matrix in MatrixMarket coordinate text format."""
-    scipy.io.mmwrite(path, sp.coo_matrix(matrix))
-
-
-def read_coo_text(path) -> sp.csr_array:
-    """Read a MatrixMarket coordinate text file."""
-    return sp.csr_array(scipy.io.mmread(path))

@@ -17,6 +17,7 @@ def small_result():
 
 
 def test_lambda_from_poisson_values():
+    assert poisson_to_lambda(0.0) == 0.0
     assert poisson_to_lambda(0.25) == 0.5
     assert poisson_to_lambda(0.4) == pytest.approx(2.0, rel=1e-14)
     assert poisson_to_lambda(0.4999) == pytest.approx(2499.5, rel=1e-12)
@@ -156,9 +157,12 @@ def test_cli_bench_config_error():
 
 
 def test_cli_fourier_check(capsys):
-    assert cli.main(["fourier-check", "--modes", "50", "--seed", "7"]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "dim 2" in out and "dim 3" in out
+    assert cli.main(["fourier-check", "--seed", "7"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert all(line.startswith("PASS fourier-") for line in lines)
+    assert cli.main(["verify", "--seed", "7"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:4] == lines
 
 
 def test_cli_exit_codes_distinct():

@@ -3,12 +3,10 @@ import pytest
 import sympy
 
 from elastprec.fem import (ManufacturedProblem, apply_dirichlet,
-                           apply_lambda_operator, assemble_div,
-                           assemble_epsilon_stiffness, assemble_load,
-                           assemble_mass, assemble_pressure_mass,
-                           assemble_system, build_space, compute_errors,
-                           interpolate, lambda_operator_matrix,
-                           MaterialParameters)
+                           assemble_div, assemble_epsilon_stiffness,
+                           assemble_load, assemble_mass,
+                           assemble_pressure_mass, assemble_system,
+                           build_space, compute_errors, interpolate)
 from elastprec.mesh import build_uniform_mesh
 from elastprec.quadrature import RULE_DEGREE6
 from elastprec.fem import p2_grads, _geometry  # noqa: F401  (oracle use)
@@ -289,8 +287,7 @@ def test_lambda_operator_at_zero():
     system = _small_system()
     rng = np.random.default_rng(7)
     v = rng.standard_normal(system.V.dof_count)
-    np.testing.assert_array_equal(apply_lambda_operator(system, 0.0, v),
-                                  system.A @ v)
+    np.testing.assert_array_equal(system.apply_lambda(0.0, v), system.A @ v)
 
 
 def test_lambda_operator_on_divergence_free_field():
@@ -298,7 +295,7 @@ def test_lambda_operator_on_divergence_free_field():
     system = _small_system()
     v = interpolate(system.V, lambda p: np.column_stack([-p[:, 1], p[:, 0]]))
     for lam in (0.0, 1.0, 2499.5):
-        np.testing.assert_allclose(apply_lambda_operator(system, lam, v),
+        np.testing.assert_allclose(system.apply_lambda(lam, v),
                                    system.A @ v, atol=1e-12)
 
 
@@ -309,7 +306,7 @@ def test_lambda_quadratic_form_identity(pressure):
     lam = 249.5
     for _ in range(5):
         v = rng.standard_normal(system.V.dof_count)
-        lhs = v @ apply_lambda_operator(system, lam, v)
+        lhs = v @ system.apply_lambda(lam, v)
         bv = system.B @ v
         rhs = v @ (system.A @ v) + lam * (bv @ (bv / system.D))
         assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
@@ -321,9 +318,9 @@ def test_lambda_operator_matrix_matches_application():
     rng = np.random.default_rng(9)
     v = rng.standard_normal(system.V.dof_count)
     for projection in ("diagonal", "exact"):
-        mat = lambda_operator_matrix(system, 3.5, projection)
+        mat = system.lambda_matrix(3.5, projection)
         np.testing.assert_allclose(
-            mat @ v, apply_lambda_operator(system, 3.5, v, projection),
+            mat @ v, system.apply_lambda(3.5, v, projection),
             rtol=1e-12, atol=1e-12)
 
 
@@ -331,30 +328,17 @@ def test_exact_projection_equals_diagonal_for_p0():
     system = _small_system("p0")
     rng = np.random.default_rng(10)
     v = rng.standard_normal(system.V.dof_count)
-    np.testing.assert_allclose(apply_lambda_operator(system, 5.0, v, "exact"),
-                               apply_lambda_operator(system, 5.0, v, "diagonal"),
+    np.testing.assert_allclose(system.apply_lambda(5.0, v, "exact"),
+                               system.apply_lambda(5.0, v, "diagonal"),
                                rtol=1e-12, atol=1e-14)
 
 
 def test_negative_lambda_rejected():
     system = _small_system()
     with pytest.raises(ValueError, match="nonnegative"):
-        apply_lambda_operator(system, -1.0, np.zeros(system.V.dof_count))
+        system.apply_lambda(-1.0, np.zeros(system.V.dof_count))
     with pytest.raises(ValueError, match="projection"):
         system.pressure_projection_apply(np.zeros(system.Q.dof_count), "weird")
-
-
-# ---------------------------------------------------------------------------
-# material parameters
-
-def test_material_parameters():
-    mat = MaterialParameters.from_poisson(0.4999)
-    assert abs(mat.lam - 2499.5) < 1e-9
-    assert MaterialParameters.from_poisson(0.0).lam == 0.0
-    with pytest.raises(ValueError):
-        MaterialParameters.from_poisson(0.5)
-    with pytest.raises(ValueError):
-        MaterialParameters(nu=0.3, lam=-1.0)
 
 
 # ---------------------------------------------------------------------------

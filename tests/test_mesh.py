@@ -3,8 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from elastprec.mesh import (MAX_LEVEL, build_uniform_mesh, classify_boundary,
-                            dump_mesh)
+from elastprec.mesh import MAX_LEVEL, build_uniform_mesh, dump_mesh
 
 
 @pytest.mark.parametrize("level,nv,nt,ne", [
@@ -46,13 +45,6 @@ def test_boundary_l0_diagonal_is_interior():
     a, b = mesh.edges[interior[0]]
     pts = mesh.vertices[[a, b]]
     assert {tuple(p) for p in pts} == {(0.0, 0.0), (1.0, 1.0)}
-
-
-def test_classify_boundary_matches_stored():
-    mesh = build_uniform_mesh(3)
-    vflags, eflags = classify_boundary(mesh)
-    np.testing.assert_array_equal(vflags, mesh.boundary_vertex_flags)
-    np.testing.assert_array_equal(eflags, mesh.boundary_edge_flags)
 
 
 def test_edge_cell_counts():
