@@ -41,8 +41,7 @@ for nu in (0.25, 0.49, 0.4999):
 for pair in ("p2p0", "p2p1"):
     for level in (2, 3):
         c = prepare_case(level, pair)
-        r = measure_inf_sup(c.reduced.A, c.reduced.B, c.reduced.MQ,
-                            level=level, pair=pair)
+        r = measure_inf_sup(c.reduced.A, c.reduced.B, c.reduced.MQ)
         print(f"{pair} L={level}: beta_h = {r.beta_h:.4f}, "
               f"theta_max = {r.theta_max:.6f}")
 

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .mesh import Mesh, build_uniform_mesh, dump_mesh
 from .fem import (AssembledSystem, DofSpace, ManufacturedProblem,
                   ReducedSystem, apply_dirichlet, assemble_div,
-                  assemble_epsilon_stiffness, assemble_load, assemble_mass,
+                  assemble_epsilon_stiffness, assemble_load,
                   assemble_pressure_mass, assemble_system, build_space,
                   compute_errors, interpolate)
 from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,

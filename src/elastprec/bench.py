@@ -30,7 +30,6 @@ from .sparse_linalg import SingularMatrixError, NotSpdError, factor_spd
 PAIRS = ("p2p0", "p2p1")
 LEVELS_DEFAULT = (2, 3, 4, 5)
 NU_DEFAULT = (0.25, 0.4, 0.49, 0.499, 0.4999)
-FORMATS = ("markdown", "csv", "json")
 
 
 def poisson_to_lambda(nu: float) -> float:
@@ -50,7 +49,6 @@ class ExperimentConfig:
     levels: tuple = LEVELS_DEFAULT
     nu_values: tuple = NU_DEFAULT
     tolerance: float = 1e-6
-    report_format: str = "markdown"
     max_level_guard: int = 6
     projection: str = "diagonal"
 
@@ -75,8 +73,6 @@ class ExperimentConfig:
             poisson_to_lambda(nu)
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
-        if self.report_format not in FORMATS:
-            raise ValueError(f"unknown report format {self.report_format!r}")
 
 
 @dataclass
@@ -113,8 +109,6 @@ class PreparedCase:
 
     pair: str
     level: int
-    mesh: object
-    system: object
     reduced: object
     a_factor: object
     projector: object
@@ -142,17 +136,17 @@ def prepare_case(level: int, pair: str = "p2p0",
                  projection: str = "diagonal") -> PreparedCase:
     """Assemble and factor everything lam-independent for one case."""
     problem = problem if problem is not None else ManufacturedProblem()
-    mesh = build_uniform_mesh(level)
-    system = assemble_system(mesh, pressure_kind(pair), problem)
-    reduced = apply_dirichlet(system, problem)
+    # the full-dof system is a temporary, freed before the factorizations run
+    reduced = apply_dirichlet(
+        assemble_system(build_uniform_mesh(level), pressure_kind(pair), problem),
+        problem)
     return PreparedCase(
-        pair=pair, level=level, mesh=mesh, system=system, reduced=reduced,
+        pair=pair, level=level, reduced=reduced,
         a_factor=factor_spd(reduced.A), projector=build_projector(reduced),
         problem=problem, projection=projection)
 
 
-def solve_cell(case: PreparedCase, nu: float, tolerance: float = 1e-6,
-               with_errors: bool = True) -> BenchCell:
+def solve_cell(case: PreparedCase, nu: float, tolerance: float = 1e-6) -> BenchCell:
     """Solve one (pair, level, nu) cell and fill in its statistics."""
     lam = poisson_to_lambda(nu)
     cell = BenchCell(pair=case.pair, level=case.level, nu=nu, lam=lam)
@@ -165,9 +159,8 @@ def solve_cell(case: PreparedCase, nu: float, tolerance: float = 1e-6,
         cell.iterations = report.iterations
         cell.residual_history = [float(r) for r in report.residual_history]
         cell.condition = sharpened_condition_estimate(op, rhs, precond, report=report)
-        if with_errors:
-            full = case.reduced.expand(x)
-            cell.l2_error, cell.h1_error = compute_errors(full, case.problem, case.system.V)
+        full = case.reduced.expand(x)
+        cell.l2_error, cell.h1_error = compute_errors(full, case.problem, case.reduced.V)
     except (PcgConvergenceError, SingularMatrixError, NotSpdError) as exc:
         cell.error = str(exc)
     cell.wall_time = time.perf_counter() - started
@@ -190,8 +183,8 @@ def run_table_experiment(config: ExperimentConfig,
 # report emission
 
 
-def emit_report(result: BenchResult, report_format: str | None = None) -> str:
-    fmt = report_format or result.config.report_format
+def emit_report(result: BenchResult, fmt: str) -> str:
+    """Render a result as ``"markdown"``, ``"csv"`` or ``"json"``."""
     if fmt == "markdown":
         return _emit_markdown(result)
     if fmt == "csv":
@@ -358,12 +351,11 @@ def _check_one_step_projection(case, rng) -> str:
     return f"max A-norm difference {worst:.3e}"
 
 
-def _check_norm_equivalence(cases, rng) -> str:
+def _check_norm_equivalence(cases, inf_sup, rng) -> str:
     details = []
     for case in cases:
         reduced = case.reduced
-        report = measure_inf_sup(reduced.A, reduced.B, reduced.MQ,
-                                 level=case.level, pair=case.pair)
+        report = inf_sup[case.pair][case.level]
         for _ in range(50):
             v = rng.standard_normal(reduced.dim)
             verify_norm_equivalence(reduced, case.projector, report.beta_h, v)
@@ -371,17 +363,15 @@ def _check_norm_equivalence(cases, rng) -> str:
     return "; ".join(details)
 
 
-def _check_inf_sup(cases_by_pair) -> str:
+def _check_inf_sup(inf_sup) -> str:
     details = []
-    for pair, cases in cases_by_pair.items():
+    for pair, reports in inf_sup.items():
         betas = {}
-        for case in cases:
-            r = measure_inf_sup(case.reduced.A, case.reduced.B, case.reduced.MQ,
-                                level=case.level, pair=pair)
+        for level, r in reports.items():
             assert r.beta_h > 0.0, f"{pair}: inf-sup constant not positive"
             assert r.theta_max <= 2.0 + 1e-8, \
-                f"{pair}@L{case.level}: theta_max {r.theta_max:.6f} exceeds 2"
-            betas[case.level] = r.beta_h
+                f"{pair}@L{level}: theta_max {r.theta_max:.6f} exceeds 2"
+            betas[level] = r.beta_h
         levels = sorted(betas)
         spread = abs(betas[levels[-1]] - betas[levels[0]]) / betas[levels[-1]]
         assert spread < 0.2, f"{pair}: inf-sup varies by {spread:.1%} across levels"
@@ -403,16 +393,13 @@ def _check_preconditioner_symmetry(case, rng) -> str:
     return f"max relative asymmetry {worst:.3e}"
 
 
-def _check_dense_cross_check(cases, tolerance=1e-6) -> str:
+def _check_dense_cross_check(cases) -> str:
     details = []
     for case in cases:
-        lam = poisson_to_lambda(0.4999)
-        rhs = case.rhs(lam)
-        op = case.operator(lam)
-        precond = case.preconditioner(lam)
-        _, report = pcg_solve(op, rhs, precond, tol=tolerance)
-        lanczos = sharpened_condition_estimate(op, rhs, precond, report=report)
-        spectrum = dense_preconditioned_spectrum(case.reduced, lam,
+        cell = solve_cell(case, 0.4999)
+        assert cell.error is None, f"{case.pair}@L{case.level}: {cell.error}"
+        lanczos = cell.condition
+        spectrum = dense_preconditioned_spectrum(case.reduced, cell.lam,
                                                  case.a_factor, case.projector,
                                                  case.projection)
         dense = spectrum[-1] / spectrum[0]
@@ -439,14 +426,12 @@ def _check_exact_inverse_identity(case) -> str:
     return f"relative defect {rel:.3e}"
 
 
-def _check_lambda_zero(case, tolerance=1e-6) -> str:
-    rhs = case.rhs(0.0)
-    op = case.operator(0.0)
-    precond = case.preconditioner(0.0)
-    _, report = pcg_solve(op, rhs, precond, tol=tolerance)
-    assert report.iterations == 1, \
-        f"exact-inverse preconditioning took {report.iterations} iterations"
-    cond = sharpened_condition_estimate(op, rhs, precond, report=report)
+def _check_lambda_zero(case) -> str:
+    cell = solve_cell(case, 0.0)
+    assert cell.error is None, f"{case.pair}@L{case.level}: {cell.error}"
+    assert cell.iterations == 1, \
+        f"exact-inverse preconditioning took {cell.iterations} iterations"
+    cond = cell.condition
     assert abs(cond - 1.0) <= 1e-6, f"condition at lambda=0 is {cond}"
     return f"1 iteration, condition {cond:.12f}"
 
@@ -498,15 +483,18 @@ def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
              for pair in PAIRS for level in (2, 3)}
     l2 = [cases[("p2p0", 2)], cases[("p2p1", 2)]]
     l23 = list(cases.values())
-    by_pair = {pair: [cases[(pair, 2)], cases[(pair, 3)]] for pair in PAIRS}
     l3 = [cases[("p2p0", 3)], cases[("p2p1", 3)]]
+    inf_sup = {pair: {} for pair in PAIRS}
+    for (pair, level), case in cases.items():
+        red = case.reduced
+        inf_sup[pair][level] = measure_inf_sup(red.A, red.B, red.MQ)
 
     return _run_checks(_fourier_checks(rng) + [
         ("projection-idempotent-and-divergence", lambda: _check_projection(l23, rng)),
         ("projection-one-step-equals-two-step",
          lambda: _check_one_step_projection(cases[("p2p0", 2)], rng)),
-        ("norm-equivalence", lambda: _check_norm_equivalence(l23, rng)),
-        ("inf-sup", lambda: _check_inf_sup(by_pair)),
+        ("norm-equivalence", lambda: _check_norm_equivalence(l23, inf_sup, rng)),
+        ("inf-sup", lambda: _check_inf_sup(inf_sup)),
         ("preconditioner-symmetry",
          lambda: _check_preconditioner_symmetry(cases[("p2p1", 2)], rng)),
         ("dense-spectrum-cross-check", lambda: _check_dense_cross_check(l2)),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 EXIT_OK = 0
@@ -23,10 +24,14 @@ def _parse_floats(text: str):
     return tuple(float(part) for part in text.split(","))
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """Yield ``sys.stdout``, or the file ``path`` opened for writing."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as stream:
+            yield stream
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +80,6 @@ def _cmd_bench(args) -> int:
     try:
         config = ExperimentConfig(pairs=pairs, levels=args.levels,
                                   nu_values=args.nu, tolerance=args.tol,
-                                  report_format=fmt,
                                   max_level_guard=args.max_level_guard,
                                   projection=args.projection)
     except ValueError as exc:
@@ -83,13 +87,9 @@ def _cmd_bench(args) -> int:
         return EXIT_CONFIG
 
     result = run_table_experiment(config)
-    stream, close = _open_out(args.out)
-    try:
-        stream.write(emit_report(result))
+    with _output(args.out) as stream:
+        stream.write(emit_report(result, fmt))
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()
     if any(cell.error for cell in result.cells):
         failures = [f"({c.pair}, L={c.level}, nu={c.nu}): {c.error}"
                     for c in result.cells if c.error]
@@ -99,14 +99,10 @@ def _cmd_bench(args) -> int:
 
 
 def _write_outcomes(outcomes, path) -> int:
-    stream, close = _open_out(path)
-    try:
+    with _output(path) as stream:
         for outcome in outcomes:
             status = "PASS" if outcome.passed else "FAIL"
             stream.write(f"{status} {outcome.name}: {outcome.detail}\n")
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK if all(o.passed for o in outcomes) else EXIT_VERIFY
 
 
@@ -130,8 +126,7 @@ def _cmd_mesh_info(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write(f"level {mesh.level}: h = {mesh.h}, "
                      f"{mesh.num_vertices} vertices, {mesh.num_cells} cells, "
                      f"{mesh.num_edges} edges, "
@@ -139,9 +134,6 @@ def _cmd_mesh_info(args) -> int:
                      f"{int(mesh.boundary_edge_flags.sum())} boundary edges\n")
         if args.dump:
             dump_mesh(mesh, stream)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from .mesh import Mesh
 from .quadrature import RULE_DEGREE5, RULE_DEGREE6, TriangleRule
 from .sparse_linalg import Factorization, factor_spd
 
-ELEMENT_KINDS = ("p0", "p1", "p2", "p2v")
+ELEMENT_KINDS = ("p0", "p1", "p2v")
 
 _GRAD_BARY = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 # edge dof 3+i sits opposite vertex i, between the other two vertices
@@ -40,10 +40,6 @@ _EDGE_PAIRS = ((1, 2), (0, 2), (0, 1))
 def p1_values(points: np.ndarray) -> np.ndarray:
     x, y = points[:, 0], points[:, 1]
     return np.column_stack([1.0 - x - y, x, y])
-
-
-def p1_grads() -> np.ndarray:
-    return _GRAD_BARY.copy()
 
 
 def p2_values(points: np.ndarray) -> np.ndarray:
@@ -86,19 +82,9 @@ class DofSpace:
     dof_points: np.ndarray
     dirichlet_mask: np.ndarray | None = None
 
-    def dof_entity(self, dof: int):
-        """Map a dof index to ``(entity_kind, entity_index, component)``."""
-        comp, scalar = divmod(dof, self.num_scalar_dofs)
-        if self.kind == "p0":
-            return ("cell", scalar, comp)
-        nv = self.mesh.num_vertices
-        if scalar < nv:
-            return ("vertex", scalar, comp)
-        return ("edge", scalar - nv, comp)
-
 
 def build_space(mesh: Mesh, kind: str) -> DofSpace:
-    """Build a dof space of the given kind ("p0", "p1", "p2" or "p2v")."""
+    """Build a dof space of the given kind ("p0", "p1" or "p2v")."""
     if kind not in ELEMENT_KINDS:
         raise ValueError(f"unsupported element kind {kind!r}; expected one of {ELEMENT_KINDS}")
 
@@ -115,9 +101,6 @@ def build_space(mesh: Mesh, kind: str) -> DofSpace:
     scalar_dofs = nv + mesh.num_edges
     scalar_cell_dofs = np.hstack([mesh.cells, nv + mesh.cell_edges])
     points = np.vstack([mesh.vertices, mesh.edge_midpoints()])
-    if kind == "p2":
-        return DofSpace(mesh, kind, 1, scalar_dofs, scalar_dofs, scalar_cell_dofs, points)
-
     scalar_boundary = np.concatenate([mesh.boundary_vertex_flags, mesh.boundary_edge_flags])
     return DofSpace(
         mesh, kind, 2, scalar_dofs, 2 * scalar_dofs,
@@ -292,19 +275,6 @@ def assemble_pressure_mass(Q: DofSpace):
     return mq, mq.diagonal().copy()
 
 
-def assemble_mass(space: DofSpace) -> sp.csr_array:
-    """Scalar mass matrix for a P1 or P2 space (diagnostics only)."""
-    if space.kind not in ("p1", "p2"):
-        raise ValueError("scalar mass assembly supports p1 and p2 spaces")
-    rule = RULE_DEGREE5
-    _, _, det, _ = _geometry(space.mesh)
-    w = _scaled_weights(rule, det)
-    vals = p1_values(rule.points) if space.kind == "p1" else p2_values(rule.points)
-    local = np.einsum("tq,qk,ql->tkl", w, vals, vals)
-    local = 0.5 * (local + local.transpose(0, 2, 1))
-    return _square_scatter(local, space.cell_dofs, space.dof_count)
-
-
 def assemble_load(problem: ManufacturedProblem, V: DofSpace) -> np.ndarray:
     """Load vector ``F[i] = (f, phi_i)`` with the degree-6 rule.
 
@@ -344,7 +314,8 @@ class _LambdaOperator:
     def pressure_projection_apply(self, w: np.ndarray,
                                   projection: str = "diagonal") -> np.ndarray:
         if projection == "diagonal":
-            return w / self.D
+            # scale rows, so a block of columns (nq, k) is handled per column
+            return (w.T / self.D).T
         if projection == "exact":
             return self.mq_factor.solve(w)
         raise ValueError(f"unknown projection mode {projection!r}; "
@@ -418,7 +389,6 @@ class ReducedSystem(_LambdaOperator):
     V: DofSpace
     Q: DofSpace
     free: np.ndarray
-    constrained: np.ndarray
     lift: np.ndarray
     A: sp.csr_array
     B: sp.csr_array
@@ -466,7 +436,6 @@ def apply_dirichlet(system: AssembledSystem,
         V=system.V,
         Q=system.Q,
         free=free,
-        constrained=constrained,
         lift=lift,
         A=system.A[free][:, free].tocsr(),
         B=system.B[:, free].tocsr(),

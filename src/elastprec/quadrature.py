@@ -69,12 +69,3 @@ RULE_DEGREE6 = _make_rule(6, [
     (0.050844906370207, _orbit3(0.063089014491502)),
     (0.082851075618374, _orbit6(0.053145049844816, 0.310352451033785)),
 ])
-
-
-def triangle_rule(degree: int) -> TriangleRule:
-    """Smallest bundled rule exact for the requested polynomial degree."""
-    if degree <= 5:
-        return RULE_DEGREE5
-    if degree <= 6:
-        return RULE_DEGREE6
-    raise ValueError(f"no bundled triangle rule of degree {degree}")

@@ -13,7 +13,6 @@ factorization and one saddle factorization serve every material parameter.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,11 @@ from .sparse_linalg import (_DENSE_LIMIT, Factorization,
 
 # Relative residual below which a Krylov run has hit the noise floor.
 _BREAKDOWN_RTOL = 1e-15
+
+# A solve shorter than this many steps gets a forced rerun of
+# _CONDEST_ITERATIONS steps for its condition estimate.
+_CONDEST_REUSE_MIN = 10
+_CONDEST_ITERATIONS = 30
 
 
 class PcgConvergenceError(RuntimeError):
@@ -48,17 +52,12 @@ class SolveReport:
     residual_history: np.ndarray
     lanczos_diag: np.ndarray
     lanczos_offdiag: np.ndarray
-    converged: bool
-    wall_time: float
-    condition_estimate: float | None = None
 
 
 @dataclass(frozen=True)
 class InfSupReport:
     beta_h: float
     theta_max: float
-    level: int | None = None
-    pair: str | None = None
 
 
 class StokesProjector:
@@ -137,14 +136,6 @@ class Preconditioner:
         return w_proj * self.projector.project_dual(g) + w_plain * self.a_factor.solve(g)
 
 
-def _as_apply(preconditioner):
-    if preconditioner is None:
-        return lambda r: r
-    if callable(preconditioner):
-        return preconditioner
-    return preconditioner.apply
-
-
 def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
               max_iterations: int = 500, force_iterations: int | None = None):
     """Preconditioned conjugate gradients with Lanczos bookkeeping.
@@ -158,7 +149,7 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         Application of the SPD system operator.
     rhs : array
         Right-hand side; a zero right-hand side returns immediately.
-    preconditioner : object with ``apply``, callable, or None
+    preconditioner : Preconditioner or None
     tol : float
         Relative residual tolerance.
     force_iterations : int, optional
@@ -180,16 +171,13 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    apply_m = _as_apply(preconditioner)
-    started = time.perf_counter()
+    apply_m = (lambda r: r) if preconditioner is None else preconditioner.apply
 
     rhs = np.asarray(rhs, dtype=float)
     norm_b = np.linalg.norm(rhs)
     x = np.zeros_like(rhs)
     if norm_b == 0.0:
-        report = SolveReport(0, np.array([0.0]), np.array([]), np.array([]),
-                             True, time.perf_counter() - started)
-        return x, report
+        return x, SolveReport(0, np.array([0.0]), np.array([]), np.array([]))
 
     r = rhs.copy()
     z = apply_m(r)
@@ -205,7 +193,6 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
 
     target = force_iterations if forced else max_iterations
     target = min(target, rhs.size)
-    converged = False
 
     for k in range(target):
         ap = op(p)
@@ -213,8 +200,7 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         if pap <= 0.0:
             raise PcgConvergenceError(
                 f"operator is not positive definite on the Krylov space (p'Ap = {pap:.3e})",
-                SolveReport(len(alphas), np.array(history), *_lanczos(alphas, betas),
-                            False, time.perf_counter() - started))
+                SolveReport(len(alphas), np.array(history), *_lanczos(alphas, betas)))
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -232,14 +218,8 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         res = float(np.linalg.norm(rhs - op(x)) / norm_b)
         history.append(res)
 
-        if not forced and res <= tol:
-            converged = True
-            break
-        if res <= _BREAKDOWN_RTOL or rz_next <= 0.0:
-            converged = res <= tol
-            break
-        if k + 1 == target:
-            converged = res <= tol
+        if ((not forced and res <= tol) or res <= _BREAKDOWN_RTOL
+                or rz_next <= 0.0 or k + 1 == target):
             break
 
         beta = rz_next / rz
@@ -250,9 +230,8 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
             basis.append((r.copy(), z.copy(), rz))
 
     diag, offdiag = _lanczos(alphas, betas)
-    report = SolveReport(len(alphas), np.array(history), diag, offdiag,
-                         converged, time.perf_counter() - started)
-    if not forced and not converged:
+    report = SolveReport(len(alphas), np.array(history), diag, offdiag)
+    if not forced and not history[-1] <= tol:
         raise PcgConvergenceError(
             f"PCG did not reach tolerance {tol:g} within {target} iterations "
             f"(last relative residual {history[-1]:.3e})", report)
@@ -283,23 +262,22 @@ def estimate_condition(report: SolveReport) -> float:
 
 
 def sharpened_condition_estimate(op, rhs, preconditioner,
-                                 report: SolveReport | None = None,
-                                 iterations: int = 30) -> float:
+                                 report: SolveReport | None = None) -> float:
     """Condition estimate, rerunning PCG when the solve was too short.
 
-    A run that converged in fewer than 10 steps carries too small a Lanczos
-    matrix; in that case the iteration is restarted, forced through up to
-    ``iterations`` re-orthogonalized steps, and the estimate is read off the
-    longer recurrence.
+    A run that converged in fewer than ``_CONDEST_REUSE_MIN`` steps carries
+    too small a Lanczos matrix; in that case the iteration is restarted,
+    forced through up to ``_CONDEST_ITERATIONS`` re-orthogonalized steps, and
+    the estimate is read off the longer recurrence.
     """
-    if report is not None and report.iterations >= 10:
+    if report is not None and report.iterations >= _CONDEST_REUSE_MIN:
         return estimate_condition(report)
-    _, forced = pcg_solve(op, rhs, preconditioner, force_iterations=iterations)
+    _, forced = pcg_solve(op, rhs, preconditioner,
+                          force_iterations=_CONDEST_ITERATIONS)
     return estimate_condition(forced)
 
 
-def measure_inf_sup(A, B, MQ, level: int | None = None,
-                    pair: str | None = None) -> InfSupReport:
+def measure_inf_sup(A, B, MQ) -> InfSupReport:
     """Inf-sup constant of a velocity/pressure pair by dense eigensolve.
 
     Solves ``B A^{-1} B^T q = theta MQ q``; the inf-sup constant is the
@@ -323,7 +301,7 @@ def measure_inf_sup(A, B, MQ, level: int | None = None,
     beta = float(np.sqrt(vals[start]))
     if beta <= 0.0:
         raise ValueError("inf-sup constant is not positive; pair is unstable")
-    return InfSupReport(beta_h=beta, theta_max=float(vals[-1]), level=level, pair=pair)
+    return InfSupReport(beta_h=beta, theta_max=float(vals[-1]))
 
 
 def verify_norm_equivalence(reduced: ReducedSystem, projector: StokesProjector,

@@ -34,17 +34,9 @@ class SingularMatrixError(ValueError):
 
 @dataclass
 class Factorization:
-    """Direct factorization with its pivot-sign counts.
+    """Direct factorization wrapping a SuperLU object."""
 
-    ``inertia`` is the sign count ``(positive, negative, zero)`` of the
-    pivots; with row pivoting active it is a diagnostic estimate, not a
-    certified Sylvester inertia.
-    """
-
-    shape: tuple[int, int]
-    spd: bool
     _lu: object
-    inertia: tuple[int, int, int]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``K x = rhs``; ``rhs`` may be a vector or a dense block."""
@@ -81,7 +73,7 @@ def factor_spd(matrix) -> Factorization:
             f"matrix is not SPD: pivot {k} (original row {int(lu.perm_r[k])}) "
             f"is {pivots[k]:.3e}"
         )
-    return Factorization(csc.shape, True, lu, (int(pivots.size), 0, 0))
+    return Factorization(lu)
 
 
 def factor_symmetric_indefinite(matrix) -> Factorization:
@@ -110,9 +102,7 @@ def factor_symmetric_indefinite(matrix) -> Factorization:
             f"{np.min(np.abs(pivots)):.3e} vs largest {largest:.3e} "
             "(unpinned constant-pressure mode?)"
         )
-    inertia = (int(np.sum(pivots > 0)), int(np.sum(pivots < 0)),
-               int(np.sum(pivots == 0)))
-    return Factorization(csc.shape, False, lu, inertia)
+    return Factorization(lu)
 
 
 def dense_symmetric_generalized_eigs(K, M) -> np.ndarray:

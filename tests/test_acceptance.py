@@ -54,7 +54,7 @@ def table_p2p0():
     for level in (2, 3, 4, 5):
         case = prepare_case(level, "p2p0")
         for nu in NUS:
-            cells[(level, nu)] = solve_cell(case, nu, with_errors=False)
+            cells[(level, nu)] = solve_cell(case, nu)
     return cells, time.perf_counter() - started
 
 
@@ -64,7 +64,7 @@ def table_p2p1():
     for level in (2, 3, 4, 5):
         case = prepare_case(level, "p2p1", projection="diagonal")
         for nu in NUS:
-            cells[(level, nu)] = solve_cell(case, nu, with_errors=False)
+            cells[(level, nu)] = solve_cell(case, nu)
     return cells
 
 

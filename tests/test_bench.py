@@ -4,7 +4,8 @@ import pytest
 
 from elastprec.bench import (ExperimentConfig, emit_report, poisson_to_lambda,
                              run_table_experiment, run_verification_suite)
-from elastprec import cli
+from elastprec.solver import PcgConvergenceError
+from elastprec import bench, cli
 
 
 SMALL = ExperimentConfig(pairs=("p2p0",), levels=(2,), nu_values=(0.25, 0.4999),
@@ -35,8 +36,6 @@ def test_config_validation():
     ExperimentConfig(levels=(7,), max_level_guard=8)  # guard can be raised
     with pytest.raises(ValueError, match="tolerance"):
         ExperimentConfig(tolerance=0.0)
-    with pytest.raises(ValueError, match="format"):
-        ExperimentConfig(report_format="xml")
     with pytest.raises(ValueError, match="projection"):
         ExperimentConfig(projection="magic")
 
@@ -154,6 +153,38 @@ def test_cli_bench_level_range_parsing(tmp_path):
 
 def test_cli_bench_config_error():
     assert cli.main(["bench", "--levels", "12", "--nu", "0.25"]) == cli.EXIT_CONFIG
+
+
+def _diverge(op, rhs, *args, **kwargs):
+    raise PcgConvergenceError("forced divergence", None)
+
+
+def test_verify_checks_fail_on_solver_error(monkeypatch, case_p2p0_l2):
+    monkeypatch.setattr(bench, "pcg_solve", _diverge)
+    with pytest.raises(AssertionError, match="forced divergence"):
+        bench._check_lambda_zero(case_p2p0_l2)
+    with pytest.raises(AssertionError, match="forced divergence"):
+        bench._check_dense_cross_check([case_p2p0_l2])
+
+
+def test_cli_bench_solver_failure(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "pcg_solve", _diverge)
+    code = cli.main(["bench", "--pair", "p2p0", "--levels", "2", "--nu", "0.25"])
+    assert code == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "| L = 2 | failed |" in captured.out
+    assert "forced divergence" in captured.err
+
+
+def test_cli_verify_failure(monkeypatch, capsys):
+    def defect(case):
+        raise AssertionError("forced defect")
+
+    monkeypatch.setattr(bench, "_check_lambda_zero", defect)
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL lambda-zero-exact: forced defect" in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 1
 
 
 def test_cli_fourier_check(capsys):

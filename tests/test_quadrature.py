@@ -3,7 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from elastprec.quadrature import RULE_DEGREE5, RULE_DEGREE6, triangle_rule
+from elastprec.quadrature import RULE_DEGREE5, RULE_DEGREE6
 
 
 def reference_monomial_integral(a, b):
@@ -40,11 +40,3 @@ def test_rule_well_formed(rule):
     # all points strictly inside the reference triangle
     x, y = rule.points[:, 0], rule.points[:, 1]
     assert np.all(x > 0) and np.all(y > 0) and np.all(x + y < 1)
-
-
-def test_rule_selection():
-    assert triangle_rule(2) is RULE_DEGREE5
-    assert triangle_rule(5) is RULE_DEGREE5
-    assert triangle_rule(6) is RULE_DEGREE6
-    with pytest.raises(ValueError):
-        triangle_rule(7)
