@@ -16,9 +16,10 @@ from .fem import (AssembledSystem, DofSpace, ManufacturedProblem,
                   compute_errors, interpolate)
 from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,
                             dense_symmetric_generalized_eigs, factor_spd,
-                            factor_symmetric_indefinite, tridiagonal_eigs)
+                            factor_symmetric_indefinite, saddle_order,
+                            tridiagonal_eigs)
 from .solver import (InfSupReport, NormEquivalenceError, PcgConvergenceError,
-                     Preconditioner, SolveReport, StokesProjector,
+                     Preconditioner, SolveReport, SpectrumError, StokesProjector,
                      build_projector,
                      dense_preconditioned_spectrum, dense_preconditioner_matrix,
                      estimate_condition, measure_inf_sup, pcg_solve,

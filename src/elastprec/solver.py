@@ -21,15 +21,18 @@ import scipy.sparse as sp
 from .fem import ReducedSystem
 from .sparse_linalg import (_DENSE_LIMIT, Factorization,
                             dense_symmetric_generalized_eigs, factor_spd,
-                            factor_symmetric_indefinite, tridiagonal_eigs)
+                            factor_symmetric_indefinite, saddle_order,
+                            tridiagonal_eigs)
 
 # Relative residual below which a Krylov run has hit the noise floor.
 _BREAKDOWN_RTOL = 1e-15
 
 # A solve shorter than this many steps gets a forced rerun of
-# _CONDEST_ITERATIONS steps for its condition estimate.
+# _CONDEST_ITERATIONS steps for its condition estimate, started from a
+# standard normal vector drawn with _CONDEST_SEED.
 _CONDEST_REUSE_MIN = 10
 _CONDEST_ITERATIONS = 30
+_CONDEST_SEED = 0
 
 
 class PcgConvergenceError(RuntimeError):
@@ -38,6 +41,11 @@ class PcgConvergenceError(RuntimeError):
     def __init__(self, message, report):
         super().__init__(message)
         self.report = report
+
+
+class SpectrumError(ValueError):
+    """A spectrum that must be positive is not: the Lanczos matrix of a PCG
+    run, or the Schur complement behind the inf-sup constant."""
 
 
 class NormEquivalenceError(AssertionError):
@@ -66,10 +74,13 @@ class StokesProjector:
     Implemented through the saddle system ``[[A, B^T], [B, 0]]`` with one
     pressure dof pinned to zero (the constant-pressure nullspace of the
     pure-Dirichlet problem); the velocity block is unaffected by the pin.
-    The factorization is computed once and reused by every application.
+    The saddle is factored once, in the elimination order of ``a_factor``
+    (the factorization of ``A``) extended to the pressures, and reused by
+    every application.
     """
 
-    def __init__(self, A: sp.csr_array, B: sp.csr_array, MQ: sp.csr_array):
+    def __init__(self, A: sp.csr_array, B: sp.csr_array, MQ: sp.csr_array,
+                 a_factor: Factorization):
         self.A = A
         self.n_velocity = A.shape[1]
         self.n_pressure = B.shape[0]
@@ -78,7 +89,8 @@ class StokesProjector:
         keep = np.arange(self.n_pressure - 1)
         b_pinned = B[keep]
         saddle = sp.block_array([[A, b_pinned.T], [b_pinned, None]], format="csc")
-        self.factorization: Factorization = factor_symmetric_indefinite(saddle)
+        self.factorization: Factorization = factor_symmetric_indefinite(
+            saddle, saddle_order(a_factor, b_pinned))
 
     def _solve(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=float)
@@ -108,9 +120,14 @@ class StokesProjector:
         return v, p
 
 
-def build_projector(reduced: ReducedSystem) -> StokesProjector:
-    """Stokes projector on the Dirichlet-free space of a reduced system."""
-    return StokesProjector(reduced.A, reduced.B, reduced.MQ)
+def build_projector(reduced: ReducedSystem,
+                    a_factor: Factorization) -> StokesProjector:
+    """Stokes projector on the Dirichlet-free space of a reduced system.
+
+    ``a_factor`` is the factorization of ``reduced.A``; the saddle reuses
+    its elimination order.
+    """
+    return StokesProjector(reduced.A, reduced.B, reduced.MQ, a_factor)
 
 
 class Preconditioner:
@@ -256,8 +273,8 @@ def estimate_condition(report: SolveReport) -> float:
     if report.lanczos_diag.size == 0:
         raise ValueError("report holds no Lanczos data (zero iterations?)")
     vals = tridiagonal_eigs(report.lanczos_diag, report.lanczos_offdiag)
-    if vals[0] <= 0.0:
-        raise ValueError(f"Lanczos matrix is not positive definite ({vals[0]:.3e})")
+    if not vals[0] > 0.0:
+        raise SpectrumError(f"Lanczos matrix is not positive definite ({vals[0]:.3e})")
     return float(vals[-1] / vals[0])
 
 
@@ -266,13 +283,16 @@ def sharpened_condition_estimate(op, rhs, preconditioner,
     """Condition estimate, rerunning PCG when the solve was too short.
 
     A run that converged in fewer than ``_CONDEST_REUSE_MIN`` steps carries
-    too small a Lanczos matrix; in that case the iteration is restarted,
-    forced through up to ``_CONDEST_ITERATIONS`` re-orthogonalized steps, and
-    the estimate is read off the longer recurrence.
+    too small a Lanczos matrix; in that case a forced run of up to
+    ``_CONDEST_ITERATIONS`` re-orthogonalized steps is started from a seeded
+    random vector of the size of ``rhs`` (a start that excites every
+    eigenvector, where the smooth right-hand side may not), and the
+    estimate is read off its recurrence.
     """
     if report is not None and report.iterations >= _CONDEST_REUSE_MIN:
         return estimate_condition(report)
-    _, forced = pcg_solve(op, rhs, preconditioner,
+    start = np.random.default_rng(_CONDEST_SEED).standard_normal(np.size(rhs))
+    _, forced = pcg_solve(op, start, preconditioner,
                           force_iterations=_CONDEST_ITERATIONS)
     return estimate_condition(forced)
 
@@ -298,10 +318,9 @@ def measure_inf_sup(A, B, MQ) -> InfSupReport:
 
     # drop the constant-pressure nullspace mode when present
     start = 1 if vals[0] < 1e-6 * max(vals[-1], 1.0) else 0
-    beta = float(np.sqrt(vals[start]))
-    if beta <= 0.0:
-        raise ValueError("inf-sup constant is not positive; pair is unstable")
-    return InfSupReport(beta_h=beta, theta_max=float(vals[-1]))
+    if not vals[start] > 0.0:
+        raise SpectrumError("inf-sup constant is not positive; pair is unstable")
+    return InfSupReport(beta_h=float(np.sqrt(vals[start])), theta_max=float(vals[-1]))
 
 
 def verify_norm_equivalence(reduced: ReducedSystem, projector: StokesProjector,

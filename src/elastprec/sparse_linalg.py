@@ -1,9 +1,15 @@
 """Direct sparse factorizations and small dense eigenvalue utilities.
 
-Factorizations wrap SuperLU: the SPD path runs it in symmetric mode with a
-fill-reducing symmetric ordering and checks the pivots, the indefinite path
-uses threshold pivoting adequate for saddle-point matrices.  Both expose a
-``solve`` that also accepts blocks of right-hand sides.
+Factorizations wrap SuperLU.  The SPD path runs it in symmetric mode with a
+fill-reducing symmetric ordering (MMD on ``A + A^T``) and checks the pivots.
+The saddle path factors ``[[A, B^T], [B, 0]]`` in a constrained elimination
+order taken from the SPD factor of ``A``: the velocities keep ``A``'s order,
+and each pressure is eliminated right after its last-eliminated velocity
+neighbour, so by the time a zero diagonal entry of the pressure block is
+reached it has filled in.  SuperLU then runs in symmetric mode on the
+permuted matrix with a small diagonal pivot threshold (``1e-4``), which keeps
+the diagonal pivots (and the factor symmetric) unless one is tiny against its
+column.  Both expose a ``solve`` that also accepts blocks of right-hand sides.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ _DENSE_LIMIT = 2200
 # declared numerically singular.
 _SINGULAR_PIVOT_RTOL = 1e-12
 
+# SuperLU keeps a diagonal pivot of the saddle factorization unless it is
+# smaller than this fraction of the largest entry of its column.  A larger
+# threshold (0.01) swaps rows on the P2-P1 saddle and adds fill.
+_SADDLE_PIVOT_THRESH = 1e-4
+
 
 class NotSpdError(ValueError):
     """Raised when a claimed-SPD matrix produces a nonpositive pivot."""
@@ -34,13 +45,23 @@ class SingularMatrixError(ValueError):
 
 @dataclass
 class Factorization:
-    """Direct factorization wrapping a SuperLU object."""
+    """Direct factorization wrapping a SuperLU object.
+
+    ``order`` is the elimination order the matrix was permuted by before
+    SuperLU saw it (``K[order][:, order]``), or ``None`` for the identity.
+    """
 
     _lu: object
+    order: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``K x = rhs``; ``rhs`` may be a vector or a dense block."""
-        return self._lu.solve(np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float)
+        if self.order is None:
+            return self._lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self.order] = self._lu.solve(rhs[self.order])
+        return x
 
 
 def _as_csc(matrix) -> sp.csc_array:
@@ -76,19 +97,49 @@ def factor_spd(matrix) -> Factorization:
     return Factorization(lu)
 
 
-def factor_symmetric_indefinite(matrix) -> Factorization:
+def saddle_order(a_factor: Factorization, b) -> np.ndarray:
+    """Elimination order of the saddle ``[[A, B^T], [B, 0]]``.
+
+    ``a_factor`` is the SPD factorization of ``A`` and ``b`` the (pinned)
+    constraint matrix, one row per pressure.  Velocities keep the order in
+    which ``a_factor`` eliminates them; each pressure follows its
+    last-eliminated velocity neighbour.  Pressures with the same last
+    neighbour keep their index order, so the order is deterministic.
+    Returns indices into the saddle's rows: velocities ``0..n-1``, then
+    pressures ``n..n+m-1``.
+    """
+    b = sp.csr_array(b)
+    velocity_pos = a_factor._lu.perm_c  # SuperLU puts column i at perm_c[i]
+    # reduceat misreads empty rows, and an empty row makes the saddle singular
+    if np.any(np.diff(b.indptr) == 0):
+        raise SingularMatrixError("a pressure dof has no velocity neighbour, "
+                                  "so the saddle matrix is singular")
+    pressure_key = np.maximum.reduceat(velocity_pos[b.indices], b.indptr[:-1])
+    # stable: a velocity precedes the pressures keyed to its position
+    return np.argsort(np.concatenate([velocity_pos, pressure_key]), kind="stable")
+
+
+def factor_symmetric_indefinite(matrix, order) -> Factorization:
     """Factor a symmetric indefinite (e.g. saddle-point) sparse matrix.
 
-    Threshold partial pivoting keeps the factorization stable for saddle
-    matrices.  A vanishing pivot relative to the largest one signals a
-    singular system, as happens when the constant-pressure nullspace of a
-    pure-Dirichlet Stokes matrix has not been pinned.
+    Factors ``matrix[order][:, order]`` in exactly that order (no column
+    reordering), with SuperLU in symmetric mode and diagonal pivot threshold
+    ``_SADDLE_PIVOT_THRESH``: a diagonal pivot is kept unless it is smaller
+    than that fraction of its column's largest entry, in which case a row
+    swap replaces it.  With the order of ``saddle_order`` no row swaps on the
+    discrete Stokes saddles; an exactly zero pivot still swaps.  A vanishing
+    pivot relative to the largest one signals a singular system, as happens
+    when the constant-pressure nullspace of a pure-Dirichlet Stokes matrix
+    has not been pinned.
     """
     csc = _as_csc(matrix)
     if csc.shape[0] != csc.shape[1]:
         raise ValueError(f"square matrix required, got shape {csc.shape}")
+    order = np.asarray(order)
     try:
-        lu = splu(csc)
+        lu = splu(csc[order][:, order], permc_spec="NATURAL",
+                  diag_pivot_thresh=_SADDLE_PIVOT_THRESH,
+                  options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularMatrixError(
             f"factorization failed, matrix is singular (did you forget to "
@@ -102,7 +153,7 @@ def factor_symmetric_indefinite(matrix) -> Factorization:
             f"{np.min(np.abs(pivots)):.3e} vs largest {largest:.3e} "
             "(unpinned constant-pressure mode?)"
         )
-    return Factorization(lu)
+    return Factorization(lu, order)
 
 
 def dense_symmetric_generalized_eigs(K, M) -> np.ndarray:

@@ -4,8 +4,8 @@ import pytest
 
 from elastprec.bench import (ExperimentConfig, emit_report, poisson_to_lambda,
                              run_table_experiment, run_verification_suite)
-from elastprec.solver import PcgConvergenceError
-from elastprec import bench, cli
+from elastprec.solver import PcgConvergenceError, SpectrumError
+from elastprec import bench, cli, solver
 
 
 SMALL = ExperimentConfig(pairs=("p2p0",), levels=(2,), nu_values=(0.25, 0.4999),
@@ -174,6 +174,39 @@ def test_cli_bench_solver_failure(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "| L = 2 | failed |" in captured.out
     assert "forced divergence" in captured.err
+
+
+def test_cli_bench_condition_estimate_failure(monkeypatch, capsys):
+    def indefinite(report):
+        raise SpectrumError("forced indefinite Lanczos matrix")
+
+    monkeypatch.setattr(solver, "estimate_condition", indefinite)
+    code = cli.main(["bench", "--pair", "p2p0", "--levels", "2", "--nu", "0.25"])
+    assert code == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "| L = 2 | failed |" in captured.out
+    assert "forced indefinite Lanczos matrix" in captured.err
+
+
+def test_cli_bench_setup_failure(capsys):
+    # the L0 Taylor-Hood saddle is singular: 2 velocity dofs, 3 free pressures
+    code = cli.main(["bench", "--pair", "p2p1", "--levels", "0..0"])
+    assert code == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "| L = 0 | failed | failed | failed | failed | failed |" in captured.out
+    assert captured.err.count("set-up failed") == 5
+
+
+def test_cli_verify_inf_sup_failure(monkeypatch, capsys):
+    def unstable(A, B, MQ):
+        raise SpectrumError("forced unstable pair")
+
+    monkeypatch.setattr(bench, "measure_inf_sup", unstable)
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["FAIL norm-equivalence: forced unstable pair",
+                      "FAIL inf-sup: forced unstable pair"]
 
 
 def test_cli_verify_failure(monkeypatch, capsys):

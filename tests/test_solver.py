@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastprec.bench import poisson_to_lambda
+from elastprec.bench import NU_DEFAULT, poisson_to_lambda, solve_cell
 from elastprec.sparse_linalg import factor_spd
 from elastprec.solver import (NormEquivalenceError, PcgConvergenceError,
                               dense_preconditioned_spectrum,
@@ -199,6 +199,18 @@ def test_lanczos_matches_dense_spectrum(fixture, request):
                                              case.a_factor, case.projector)
     dense = spectrum[-1] / spectrum[0]
     assert abs(est - dense) / dense <= 0.05
+
+
+@pytest.mark.parametrize("fixture", ["case_p2p0_l2", "case_p2p1_l2"])
+def test_table_condition_matches_dense_spectrum(fixture, request):
+    case = request.getfixturevalue(fixture)
+    for nu in NU_DEFAULT:
+        cell = solve_cell(case, nu)
+        assert cell.error is None, cell.error
+        spectrum = dense_preconditioned_spectrum(case.reduced, cell.lam,
+                                                 case.a_factor, case.projector)
+        dense = spectrum[-1] / spectrum[0]
+        assert abs(cell.condition - dense) / dense <= 0.01, (nu, cell.condition, dense)
 
 
 def test_lambda_uniformity_of_condition(case_p2p0_l3, case_p2p1_l3):
