@@ -30,10 +30,11 @@ print(emit_report(result, "markdown"))
 
 # %% [markdown]
 # Iteration counts and condition numbers are flat in $\nu$: the solver does
-# not feel the incompressible limit.  The same experiment with the
-# Taylor-Hood pair (`--pair p2p1`) behaves the same way, with slightly
-# larger constants because the continuous-pressure projection is applied
-# through the diagonal of the pressure mass matrix.
+# not feel the incompressible limit.  The Taylor-Hood pair (`--pair p2p1`)
+# stays bounded in $\nu$ too, but with much larger constants, because the
+# continuous-pressure projection is applied through the diagonal of the
+# pressure mass matrix: at $\nu = 0.4999$ it prints condition numbers
+# 10.47 (L2) and 13.72 (L3), against 2.32 and 2.52 for P2-P0.
 
 # %%
 th = ExperimentConfig(pairs=("p2p1",), levels=(2, 3),

@@ -479,4 +479,4 @@ def compute_errors(u_coeffs: np.ndarray, problem: ManufacturedProblem,
 
     l2 = np.sqrt(np.sum(w * np.sum((uh - u) ** 2, axis=-1)))
     h1 = np.sqrt(np.sum(w * np.sum((guh - gu) ** 2, axis=(-2, -1))))
-    return l2, h1
+    return float(l2), float(h1)

@@ -27,11 +27,12 @@ from .sparse_linalg import (_DENSE_LIMIT, Factorization,
 # Relative residual below which a Krylov run has hit the noise floor.
 _BREAKDOWN_RTOL = 1e-15
 
-# A solve shorter than this many steps gets a forced rerun of
-# _CONDEST_ITERATIONS steps for its condition estimate, started from a
-# standard normal vector drawn with _CONDEST_SEED.
-_CONDEST_REUSE_MIN = 10
-_CONDEST_ITERATIONS = 30
+# Every condition estimate comes from one forced PCG run of at most
+# _CONDEST_ITERATIONS steps, started from a standard normal vector drawn
+# with _CONDEST_SEED.  On the default bench table (L2-L5) 22 steps stay
+# within 0.06% of a 60-step run, and a 60-step run equals the dense spectrum
+# at L2-L4.
+_CONDEST_ITERATIONS = 22
 _CONDEST_SEED = 0
 
 
@@ -278,19 +279,14 @@ def estimate_condition(report: SolveReport) -> float:
     return float(vals[-1] / vals[0])
 
 
-def sharpened_condition_estimate(op, rhs, preconditioner,
-                                 report: SolveReport | None = None) -> float:
-    """Condition estimate, rerunning PCG when the solve was too short.
+def sharpened_condition_estimate(op, rhs, preconditioner) -> float:
+    """Condition estimate of the preconditioned operator.
 
-    A run that converged in fewer than ``_CONDEST_REUSE_MIN`` steps carries
-    too small a Lanczos matrix; in that case a forced run of up to
-    ``_CONDEST_ITERATIONS`` re-orthogonalized steps is started from a seeded
-    random vector of the size of ``rhs`` (a start that excites every
-    eigenvector, where the smooth right-hand side may not), and the
-    estimate is read off its recurrence.
+    Runs PCG for up to ``_CONDEST_ITERATIONS`` re-orthogonalized steps from
+    a seeded random vector of the size of ``rhs`` and reads the estimate off
+    its Lanczos matrix.  The random start excites every eigenvector; a
+    smooth right-hand side can miss whole classes of them.
     """
-    if report is not None and report.iterations >= _CONDEST_REUSE_MIN:
-        return estimate_condition(report)
     start = np.random.default_rng(_CONDEST_SEED).standard_normal(np.size(rhs))
     _, forced = pcg_solve(op, start, preconditioner,
                           force_iterations=_CONDEST_ITERATIONS)

@@ -127,10 +127,9 @@ def factor_symmetric_indefinite(matrix, order) -> Factorization:
     ``_SADDLE_PIVOT_THRESH``: a diagonal pivot is kept unless it is smaller
     than that fraction of its column's largest entry, in which case a row
     swap replaces it.  With the order of ``saddle_order`` no row swaps on the
-    discrete Stokes saddles; an exactly zero pivot still swaps.  A vanishing
-    pivot relative to the largest one signals a singular system, as happens
-    when the constant-pressure nullspace of a pure-Dirichlet Stokes matrix
-    has not been pinned.
+    discrete Stokes saddles; an exactly zero pivot still swaps.  A failed
+    factorization, or a pivot that vanishes relative to the largest one,
+    raises ``SingularMatrixError``.
     """
     csc = _as_csc(matrix)
     if csc.shape[0] != csc.shape[1]:
@@ -141,17 +140,13 @@ def factor_symmetric_indefinite(matrix, order) -> Factorization:
                   diag_pivot_thresh=_SADDLE_PIVOT_THRESH,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:
-        raise SingularMatrixError(
-            f"factorization failed, matrix is singular (did you forget to "
-            f"remove a nullspace such as constant pressures?): {exc}"
-        ) from exc
+        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
     pivots = lu.U.diagonal()
     largest = np.max(np.abs(pivots))
     if largest == 0.0 or np.min(np.abs(pivots)) <= _SINGULAR_PIVOT_RTOL * largest:
         raise SingularMatrixError(
             "matrix is numerically singular: smallest pivot "
-            f"{np.min(np.abs(pivots)):.3e} vs largest {largest:.3e} "
-            "(unpinned constant-pressure mode?)"
+            f"{np.min(np.abs(pivots)):.3e} vs largest {largest:.3e}"
         )
     return Factorization(lu, order)
 

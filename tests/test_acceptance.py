@@ -175,7 +175,7 @@ def test_criterion_5_exact_limits():
     x, report = pcg_solve(case.operator(0.0), rhs, case.preconditioner(0.0),
                           tol=1e-6)
     cond = sharpened_condition_estimate(case.operator(0.0), rhs,
-                                        case.preconditioner(0.0), report=report)
+                                        case.preconditioner(0.0))
     one_step = report.iterations == 1 and abs(cond - 1.0) <= 1e-6
 
     # mode-space convex combination over 1000 random modes

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -70,6 +72,14 @@ def test_csv_row_count(small_result):
     lines = emit_report(small_result, "csv").strip().splitlines()
     assert len(lines) == 1 + len(small_result.cells)
     assert lines[0].startswith("pair,level,nu,lambda,iterations,condition")
+
+
+def test_csv_numbers_parse(small_result):
+    rows = list(csv.DictReader(io.StringIO(emit_report(small_result, "csv"))))
+    assert len(rows) == len(small_result.cells)
+    for row in rows:
+        for key in ("nu", "lambda", "condition", "l2_error", "h1_error"):
+            float(row[key])
 
 
 def test_json_round_trip(small_result):
@@ -195,6 +205,8 @@ def test_cli_bench_setup_failure(capsys):
     captured = capsys.readouterr()
     assert "| L = 0 | failed | failed | failed | failed | failed |" in captured.out
     assert captured.err.count("set-up failed") == 5
+    assert "singular" in captured.err
+    assert "constant-pressure" not in captured.err
 
 
 def test_cli_verify_inf_sup_failure(monkeypatch, capsys):

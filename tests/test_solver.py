@@ -201,7 +201,8 @@ def test_lanczos_matches_dense_spectrum(fixture, request):
     assert abs(est - dense) / dense <= 0.05
 
 
-@pytest.mark.parametrize("fixture", ["case_p2p0_l2", "case_p2p1_l2"])
+@pytest.mark.parametrize("fixture", ["case_p2p0_l2", "case_p2p1_l2",
+                                     "case_p2p0_l3", "case_p2p1_l3"])
 def test_table_condition_matches_dense_spectrum(fixture, request):
     case = request.getfixturevalue(fixture)
     for nu in NU_DEFAULT:
