@@ -6,6 +6,11 @@ import argparse
 import contextlib
 import sys
 
+from .bench import (PAIRS, ExperimentConfig, emit_report, run_fourier_checks,
+                    run_table_experiment, run_verification_suite)
+from .fem import PROJECTION_MODES
+from .mesh import build_uniform_mesh, dump_mesh
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -41,17 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "nearly-incompressible elasticity solver.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = ExperimentConfig()
     bench = sub.add_parser("bench", help="reproduce the iteration/condition tables")
-    bench.add_argument("--pair", choices=["p2p0", "p2p1", "both"], default="both")
-    bench.add_argument("--levels", type=_parse_levels, default=(2, 3, 4, 5),
+    bench.add_argument("--pair", choices=[*PAIRS, "both"], default="both")
+    bench.add_argument("--levels", type=_parse_levels, default=defaults.levels,
                        metavar="LO..HI|L1,L2,...")
     bench.add_argument("--nu", type=_parse_floats,
-                       default=(0.25, 0.4, 0.49, 0.499, 0.4999), metavar="NU1,NU2,...")
-    bench.add_argument("--tol", type=float, default=1e-6)
+                       default=defaults.nu_values, metavar="NU1,NU2,...")
+    bench.add_argument("--tol", type=float, default=defaults.tolerance)
     bench.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    bench.add_argument("--max-level-guard", type=int, default=6)
-    bench.add_argument("--projection", choices=["diagonal", "exact"],
-                       default="diagonal",
+    bench.add_argument("--max-level-guard", type=int, default=defaults.max_level_guard)
+    bench.add_argument("--projection", choices=PROJECTION_MODES,
+                       default=defaults.projection,
                        help="pressure-projection realization in the operator")
     bench.add_argument("--out", default=None, metavar="FILE")
 
@@ -73,9 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import ExperimentConfig, emit_report, run_table_experiment
-
-    pairs = ("p2p0", "p2p1") if args.pair == "both" else (args.pair,)
+    pairs = PAIRS if args.pair == "both" else (args.pair,)
     fmt = {"md": "markdown", "csv": "csv", "json": "json"}[args.format]
     try:
         config = ExperimentConfig(pairs=pairs, levels=args.levels,
@@ -107,20 +111,14 @@ def _write_outcomes(outcomes, path) -> int:
 
 
 def _cmd_fourier(args) -> int:
-    from .bench import run_fourier_checks
-
     return _write_outcomes(run_fourier_checks(seed=args.seed), args.out)
 
 
 def _cmd_verify(args) -> int:
-    from .bench import run_verification_suite
-
     return _write_outcomes(run_verification_suite(seed=args.seed), args.out)
 
 
 def _cmd_mesh_info(args) -> int:
-    from .mesh import build_uniform_mesh, dump_mesh
-
     try:
         mesh = build_uniform_mesh(args.level)
     except ValueError as exc:

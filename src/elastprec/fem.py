@@ -6,9 +6,8 @@ linears (P1).  Assembled operators:
 
 * ``A``  -- strain stiffness, ``(eps(u), eps(v))``
 * ``B``  -- divergence coupling, ``(div v, q)``
-* ``MQ`` -- pressure mass matrix
-* ``D``  -- diagonal realization of the pressure projection: ``MQ`` itself
-  for P0 (already diagonal), ``diag(MQ)`` for P1
+* ``MQ`` -- pressure mass matrix, from which ``D = diag(MQ)``, the diagonal
+  realization of the pressure projection, is derived (exact for P0)
 
 The scaled operator ``A_lam = A + lam * B^T D^{-1} B`` is the matrix form of
 the modified bilinear form ``(eps(u),eps(v)) + lam*(div v, Pi_h div u)``.
@@ -75,7 +74,6 @@ class DofSpace:
 
     mesh: Mesh
     kind: str
-    components: int
     num_scalar_dofs: int
     dof_count: int
     cell_dofs: np.ndarray
@@ -91,11 +89,11 @@ def build_space(mesh: Mesh, kind: str) -> DofSpace:
     if kind == "p0":
         nt = mesh.num_cells
         centroids = mesh.vertices[mesh.cells].mean(axis=1)
-        return DofSpace(mesh, kind, 1, nt, nt,
+        return DofSpace(mesh, kind, nt, nt,
                         np.arange(nt, dtype=np.int64)[:, None], centroids)
     if kind == "p1":
         nv = mesh.num_vertices
-        return DofSpace(mesh, kind, 1, nv, nv, mesh.cells.copy(), mesh.vertices.copy())
+        return DofSpace(mesh, kind, nv, nv, mesh.cells.copy(), mesh.vertices.copy())
 
     nv = mesh.num_vertices
     scalar_dofs = nv + mesh.num_edges
@@ -103,7 +101,7 @@ def build_space(mesh: Mesh, kind: str) -> DofSpace:
     points = np.vstack([mesh.vertices, mesh.edge_midpoints()])
     scalar_boundary = np.concatenate([mesh.boundary_vertex_flags, mesh.boundary_edge_flags])
     return DofSpace(
-        mesh, kind, 2, scalar_dofs, 2 * scalar_dofs,
+        mesh, kind, scalar_dofs, 2 * scalar_dofs,
         np.hstack([scalar_cell_dofs, scalar_cell_dofs + scalar_dofs]),
         points,
         dirichlet_mask=np.concatenate([scalar_boundary, scalar_boundary]),
@@ -146,11 +144,9 @@ class ManufacturedProblem:
 
 
 def interpolate(space: DofSpace, func) -> np.ndarray:
-    """Nodal interpolation: evaluate ``func`` at the dof points."""
-    vals = np.asarray(func(space.dof_points))
-    if space.components == 1:
-        return vals.reshape(-1).astype(float)
-    return np.concatenate([vals[:, 0], vals[:, 1]])
+    """Nodal interpolation at the dof points (vectors blocked by component)."""
+    vals = np.asarray(func(space.dof_points), dtype=float)
+    return vals.reshape(space.dof_points.shape[0], -1).T.ravel()
 
 
 def _geometry(mesh: Mesh):
@@ -182,11 +178,8 @@ def _scaled_weights(rule: TriangleRule, det: np.ndarray) -> np.ndarray:
 
 
 def _scatter(vals, rows, cols, shape) -> sp.csr_array:
-    mat = sp.coo_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    out = mat.tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
+    # tocsr() sums duplicates and sorts the indices
+    return sp.coo_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
 
 
 def _square_scatter(local, cell_dofs, n) -> sp.csr_array:
@@ -248,20 +241,10 @@ def assemble_div(V: DofSpace, Q: DofSpace) -> sp.csr_array:
     return _scatter(local, rows, cols, (Q.dof_count, V.dof_count))
 
 
-def assemble_pressure_mass(Q: DofSpace):
-    """Assemble the pressure mass matrix and its diagonal surrogate.
-
-    Returns
-    -------
-    (MQ, D)
-        ``MQ`` is the pressure mass matrix.  ``D`` holds the diagonal used
-        to apply the pressure projection: for P0 the mass matrix is already
-        diagonal and ``D`` equals it exactly; for P1 ``D = diag(MQ)``.
-    """
+def assemble_pressure_mass(Q: DofSpace) -> sp.csr_array:
+    """Assemble the pressure mass matrix (diagonal for P0)."""
     if Q.kind == "p0":
-        areas = Q.mesh.cell_areas()
-        mq = sp.diags_array(areas, format="csr")
-        return mq, areas
+        return sp.diags_array(Q.mesh.cell_areas(), format="csr")
     if Q.kind != "p1":
         raise ValueError("pressure space must be p0 or p1")
 
@@ -271,8 +254,7 @@ def assemble_pressure_mass(Q: DofSpace):
     psi = p1_values(rule.points)
     local = np.einsum("tq,qk,ql->tkl", w, psi, psi)
     local = 0.5 * (local + local.transpose(0, 2, 1))
-    mq = _square_scatter(local, Q.cell_dofs, Q.dof_count)
-    return mq, mq.diagonal().copy()
+    return _square_scatter(local, Q.cell_dofs, Q.dof_count)
 
 
 def assemble_load(problem: ManufacturedProblem, V: DofSpace) -> np.ndarray:
@@ -304,7 +286,13 @@ PROJECTION_MODES = ("diagonal", "exact")
 
 
 class _LambdaOperator:
-    """``A_lam = A + lam * B^T Pi B`` on the operators ``A``, ``B``, ``MQ``, ``D``."""
+    """``A_lam = A + lam * B^T Pi B`` on the operators ``A``, ``B``, ``MQ``;
+    ``Pi`` divides by ``D``, which is derived from ``MQ``, or solves with ``MQ``."""
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """``diag(MQ)``, computed on first use."""
+        return self.MQ.diagonal()
 
     @cached_property
     def mq_factor(self) -> Factorization:
@@ -326,10 +314,8 @@ class _LambdaOperator:
         """Apply ``A_lam`` without forming the product."""
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
-        av = self.A @ v
-        if lam == 0.0:
-            return av
-        return av + lam * (self.B.T @ self.pressure_projection_apply(self.B @ v, projection))
+        pv = self.pressure_projection_apply(self.B @ v, projection)
+        return self.A @ v + lam * (self.B.T @ pv)
 
     def lambda_matrix(self, lam: float,
                       projection: str = "diagonal") -> sp.csr_array:
@@ -345,10 +331,7 @@ class _LambdaOperator:
         else:
             scaled = sp.csr_array(
                 self.pressure_projection_apply(self.B.toarray(), projection))
-        out = (self.A + lam * (self.B.T @ scaled)).tocsr()
-        out.sum_duplicates()
-        out.sort_indices()
-        return out
+        return (self.A + lam * (self.B.T @ scaled)).tocsr()
 
 
 @dataclass
@@ -360,7 +343,6 @@ class AssembledSystem(_LambdaOperator):
     A: sp.csr_array
     B: sp.csr_array
     MQ: sp.csr_array
-    D: np.ndarray
     rhs: np.ndarray
 
 
@@ -372,9 +354,9 @@ def assemble_system(mesh: Mesh, pressure_kind: str = "p0",
     Q = build_space(mesh, pressure_kind)
     A = assemble_epsilon_stiffness(V)
     B = assemble_div(V, Q)
-    MQ, D = assemble_pressure_mass(Q)
+    MQ = assemble_pressure_mass(Q)
     rhs = assemble_load(problem, V)
-    return AssembledSystem(V=V, Q=Q, A=A, B=B, MQ=MQ, D=D, rhs=rhs)
+    return AssembledSystem(V=V, Q=Q, A=A, B=B, MQ=MQ, rhs=rhs)
 
 
 @dataclass
@@ -393,7 +375,6 @@ class ReducedSystem(_LambdaOperator):
     A: sp.csr_array
     B: sp.csr_array
     MQ: sp.csr_array
-    D: np.ndarray
     _rhs_const: np.ndarray = field(repr=False)
     _b_lift: np.ndarray = field(repr=False)
 
@@ -404,8 +385,6 @@ class ReducedSystem(_LambdaOperator):
     def rhs(self, lam: float, projection: str = "diagonal") -> np.ndarray:
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
-        if lam == 0.0:
-            return self._rhs_const.copy()
         lift_term = self.B.T @ self.pressure_projection_apply(self._b_lift, projection)
         return self._rhs_const - lam * lift_term
 
@@ -440,7 +419,6 @@ def apply_dirichlet(system: AssembledSystem,
         A=system.A[free][:, free].tocsr(),
         B=system.B[:, free].tocsr(),
         MQ=system.MQ,
-        D=system.D,
         _rhs_const=(system.rhs - system.A @ lift)[free],
         _b_lift=system.B @ lift,
     )

@@ -34,8 +34,6 @@ class Mesh:
         Vertex pairs (low index first), sorted lexicographically.
     cell_edges : (nt, 3) int array
         Edge indices per cell; local edge ``k`` is opposite local vertex ``k``.
-    edge_cells : (ne, 2) int array
-        Cells adjacent to each edge; ``-1`` marks a missing second cell.
     boundary_vertex_flags, boundary_edge_flags : bool arrays
         True for entities lying on the domain boundary.
 
@@ -49,7 +47,6 @@ class Mesh:
     cells: np.ndarray
     edges: np.ndarray
     cell_edges: np.ndarray
-    edge_cells: np.ndarray
     boundary_vertex_flags: np.ndarray
     boundary_edge_flags: np.ndarray
 
@@ -122,7 +119,7 @@ def build_uniform_mesh(level: int) -> Mesh:
     cells[0::2] = lower
     cells[1::2] = upper
 
-    edges, cell_edges, edge_cells = _build_edges(cells)
+    edges, cell_edges, boundary_edges = _build_edges(cells)
 
     mesh = Mesh(
         level=level,
@@ -131,41 +128,25 @@ def build_uniform_mesh(level: int) -> Mesh:
         cells=cells,
         edges=edges,
         cell_edges=cell_edges,
-        edge_cells=edge_cells,
         boundary_vertex_flags=_boundary_vertices(vertices),
-        boundary_edge_flags=edge_cells[:, 1] < 0,
+        boundary_edge_flags=boundary_edges,
     )
     for arr in (mesh.vertices, mesh.cells, mesh.edges, mesh.cell_edges,
-                mesh.edge_cells, mesh.boundary_vertex_flags, mesh.boundary_edge_flags):
+                mesh.boundary_vertex_flags, mesh.boundary_edge_flags):
         arr.setflags(write=False)
     return mesh
 
 
 def _build_edges(cells: np.ndarray):
-    nt = cells.shape[0]
     # Local edge k is opposite local vertex k.
     pairs = np.concatenate([cells[:, [1, 2]], cells[:, [0, 2]], cells[:, [0, 1]]])
     pairs = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    inverse = inverse.reshape(3, nt)
-    cell_edges = inverse.T.copy()
-
-    ne = edges.shape[0]
-    edge_cells = np.full((ne, 2), -1, dtype=np.int64)
-    owner = np.tile(np.arange(nt, dtype=np.int64), 3)
-    flat = inverse.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_edges = flat[order]
-    sorted_owner = owner[order]
-    first = np.searchsorted(sorted_edges, np.arange(ne), side="left")
-    last = np.searchsorted(sorted_edges, np.arange(ne), side="right")
-    counts = last - first
-    edge_cells[:, 0] = sorted_owner[first]
-    two = counts == 2
-    edge_cells[two, 1] = sorted_owner[first[two] + 1]
+    edges, inverse, counts = np.unique(pairs, axis=0, return_inverse=True,
+                                       return_counts=True)
     if np.any(counts > 2):
         raise RuntimeError("edge shared by more than two cells; mesh is broken")
-    return edges, cell_edges, edge_cells
+    cell_edges = inverse.reshape(3, cells.shape[0]).T.copy()
+    return edges, cell_edges, counts == 1
 
 
 def _boundary_vertices(vertices: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ factorization and one saddle factorization serve every material parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,7 @@ class StokesProjector:
         self.n_pressure = B.shape[0]
         self.pinned_dof = self.n_pressure - 1
         self._mq = MQ
-        keep = np.arange(self.n_pressure - 1)
-        b_pinned = B[keep]
+        b_pinned = B[:-1]
         saddle = sp.block_array([[A, b_pinned.T], [b_pinned, None]], format="csc")
         self.factorization: Factorization = factor_symmetric_indefinite(
             saddle, saddle_order(a_factor, b_pinned))
@@ -149,8 +149,6 @@ class Preconditioner:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         w_proj, w_plain = self.weights
-        if w_proj == 0.0:
-            return self.a_factor.solve(g)
         return w_proj * self.projector.project_dual(g) + w_plain * self.a_factor.solve(g)
 
 
@@ -185,7 +183,8 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     ------
     PcgConvergenceError
         If the iteration cap is hit before the tolerance (tolerance-driven
-        runs only).
+        runs only), if ``p'Ap`` is not positive, or at the first step whose
+        ``p'Ap``, ``r'z`` or residual is not finite (forced runs too).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
@@ -197,14 +196,19 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     if norm_b == 0.0:
         return x, SolveReport(0, np.array([0.0]), np.array([]), np.array([]))
 
+    history = [1.0]
+    alphas: list[float] = []
+    betas: list[float] = []
+
+    def failure(message):
+        return PcgConvergenceError(message, SolveReport(
+            len(alphas), np.array(history), *_lanczos(alphas, betas)))
+
     r = rhs.copy()
     z = apply_m(r)
     rz = float(r @ z)
     p = z.copy()
 
-    history = [1.0]
-    alphas: list[float] = []
-    betas: list[float] = []
     forced = force_iterations is not None
     # (r, z, r'z) of every step so far; kept by forced runs only
     basis = [(r.copy(), z.copy(), rz)] if forced else None
@@ -215,10 +219,10 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     for k in range(target):
         ap = op(p)
         pap = float(p @ ap)
-        if pap <= 0.0:
-            raise PcgConvergenceError(
-                f"operator is not positive definite on the Krylov space (p'Ap = {pap:.3e})",
-                SolveReport(len(alphas), np.array(history), *_lanczos(alphas, betas)))
+        if not pap > 0.0:
+            what = ("operator is not positive definite on the Krylov space"
+                    if math.isfinite(pap) else "non-finite value")
+            raise failure(f"{what} at PCG step {k + 1} (p'Ap = {pap:.3e})")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -235,6 +239,9 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
 
         res = float(np.linalg.norm(rhs - op(x)) / norm_b)
         history.append(res)
+        if not (math.isfinite(rz_next) and math.isfinite(res)):
+            raise failure(f"non-finite value at PCG step {k + 1} "
+                          f"(r'z = {rz_next:.3e}, residual {res:.3e})")
 
         if ((not forced and res <= tol) or res <= _BREAKDOWN_RTOL
                 or rz_next <= 0.0 or k + 1 == target):
@@ -247,26 +254,18 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         if forced:
             basis.append((r.copy(), z.copy(), rz))
 
-    diag, offdiag = _lanczos(alphas, betas)
-    report = SolveReport(len(alphas), np.array(history), diag, offdiag)
     if not forced and not history[-1] <= tol:
-        raise PcgConvergenceError(
-            f"PCG did not reach tolerance {tol:g} within {target} iterations "
-            f"(last relative residual {history[-1]:.3e})", report)
-    return x, report
+        raise failure(f"PCG did not reach tolerance {tol:g} within {target} iterations "
+                      f"(last relative residual {history[-1]:.3e})")
+    return x, SolveReport(len(alphas), np.array(history), *_lanczos(alphas, betas))
 
 
 def _lanczos(alphas, betas):
-    k = len(alphas)
-    diag = np.empty(k)
-    offdiag = np.empty(max(k - 1, 0))
-    for i in range(k):
-        diag[i] = 1.0 / alphas[i]
-        if i > 0:
-            diag[i] += betas[i - 1] / alphas[i - 1]
-        if i < k - 1:
-            offdiag[i] = np.sqrt(betas[i]) / alphas[i]
-    return diag, offdiag
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.asarray(betas[: alphas.size - 1], dtype=float)
+    diag = 1.0 / alphas
+    diag[1:] += betas / alphas[:-1]
+    return diag, np.sqrt(betas) / alphas[:-1]
 
 
 def estimate_condition(report: SolveReport) -> float:
@@ -305,12 +304,9 @@ def measure_inf_sup(A, B, MQ) -> InfSupReport:
         raise ValueError(
             f"inf-sup measurement uses a dense path limited to {_DENSE_LIMIT} "
             f"velocity dofs, got {n}")
-    a_factor = factor_spd(A)
-    bt = B.T.toarray() if sp.issparse(B) else np.asarray(B).T
-    schur = np.asarray(B @ a_factor.solve(bt))
+    schur = B @ factor_spd(A).solve(B.T.toarray())
     schur = 0.5 * (schur + schur.T)
-    mq = MQ.toarray() if sp.issparse(MQ) else np.asarray(MQ)
-    vals = dense_symmetric_generalized_eigs(schur, mq)
+    vals = dense_symmetric_generalized_eigs(schur, MQ.toarray())
 
     # drop the constant-pressure nullspace mode when present
     start = 1 if vals[0] < 1e-6 * max(vals[-1], 1.0) else 0

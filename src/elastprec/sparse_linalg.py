@@ -64,12 +64,6 @@ class Factorization:
         return x
 
 
-def _as_csc(matrix) -> sp.csc_array:
-    if not sp.issparse(matrix):
-        matrix = sp.csc_array(np.asarray(matrix, dtype=float))
-    return matrix.tocsc()
-
-
 def factor_spd(matrix) -> Factorization:
     """Factor a symmetric positive definite sparse matrix.
 
@@ -78,7 +72,7 @@ def factor_spd(matrix) -> Factorization:
     nonpositive pivot disproves positive definiteness and raises
     ``NotSpdError`` naming the offending index.
     """
-    csc = _as_csc(matrix)
+    csc = sp.csc_array(matrix)
     if csc.shape[0] != csc.shape[1]:
         raise ValueError(f"square matrix required, got shape {csc.shape}")
     try:
@@ -131,7 +125,7 @@ def factor_symmetric_indefinite(matrix, order) -> Factorization:
     factorization, or a pivot that vanishes relative to the largest one,
     raises ``SingularMatrixError``.
     """
-    csc = _as_csc(matrix)
+    csc = sp.csc_array(matrix)
     if csc.shape[0] != csc.shape[1]:
         raise ValueError(f"square matrix required, got shape {csc.shape}")
     order = np.asarray(order)
@@ -174,7 +168,5 @@ def tridiagonal_eigs(diag, offdiag) -> np.ndarray:
         raise ValueError(
             f"offdiagonal length {offdiag.size} does not match diagonal length {diag.size}"
         )
-    if diag.size == 1:
-        return diag.copy()
     return scipy.linalg.eigh_tridiagonal(diag, offdiag, eigvals_only=True)
 

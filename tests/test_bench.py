@@ -2,10 +2,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from elastprec.bench import (ExperimentConfig, emit_report, poisson_to_lambda,
                              run_table_experiment, run_verification_suite)
+from elastprec.fem import ReducedSystem
 from elastprec.solver import PcgConvergenceError, SpectrumError
 from elastprec import bench, cli, solver
 
@@ -184,6 +186,30 @@ def test_cli_bench_solver_failure(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "| L = 2 | failed |" in captured.out
     assert "forced divergence" in captured.err
+
+
+def test_cli_bench_nan_rhs(monkeypatch, capsys):
+    def nan_rhs(self, lam, projection="diagonal"):
+        return np.full(self.dim, np.nan)
+
+    monkeypatch.setattr(ReducedSystem, "rhs", nan_rhs)
+    assert cli.main(["bench", "--pair", "p2p0", "--levels", "2..2"]) == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "| L = 2 | failed | failed | failed | failed | failed |" in captured.out
+    assert "non-finite" in captured.err
+
+
+def test_cli_bench_defaults_are_experiment_defaults(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def record(config):
+        raise Built(config)
+
+    monkeypatch.setattr(cli, "run_table_experiment", record)
+    with pytest.raises(Built) as built:
+        cli.main(["bench"])
+    assert built.value.args[0] == ExperimentConfig()
 
 
 def test_cli_bench_condition_estimate_failure(monkeypatch, capsys):

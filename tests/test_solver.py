@@ -152,6 +152,39 @@ def test_pcg_iteration_cap_raises_with_history(case_p2p0_l2):
         pcg_solve(case.operator(lam), rhs, tol=2.0)
 
 
+def test_pcg_nan_rhs_raises_at_once(case_p2p0_l3):
+    case = case_p2p0_l3
+    lam = poisson_to_lambda(0.4999)
+    rhs = case.rhs(lam)
+    rhs[0] = np.nan
+    for force in (None, 22):
+        with pytest.raises(PcgConvergenceError, match="non-finite") as err:
+            pcg_solve(case.operator(lam), rhs, case.preconditioner(lam),
+                      force_iterations=force)
+        assert err.value.report.iterations <= 1
+
+
+def test_pcg_nan_preconditioner_raises_at_its_step(case_p2p0_l2):
+    case = case_p2p0_l2
+    lam = poisson_to_lambda(0.4999)
+    inner = case.preconditioner(lam)
+
+    class NanAtStep3:
+        calls = 0
+
+        def apply(self, g):
+            # the first call preconditions the initial residual (step 0)
+            self.calls += 1
+            z = inner.apply(g)
+            return np.full_like(z, np.nan) if self.calls == 4 else z
+
+    for force in (None, 22):
+        with pytest.raises(PcgConvergenceError, match="non-finite.*step 3") as err:
+            pcg_solve(case.operator(lam), case.rhs(lam), NanAtStep3(),
+                      tol=1e-12, force_iterations=force)
+        assert err.value.report.iterations == 3
+
+
 def test_pcg_energy_error_monotone(case_p2p0_l2):
     case = case_p2p0_l2
     lam = poisson_to_lambda(0.499)
