@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, fourier
 from .fem import (PROJECTION_MODES, ManufacturedProblem, apply_dirichlet,
                   assemble_system, compute_errors)
-from .mesh import MAX_LEVEL, build_uniform_mesh
+from .mesh import MAX_LEVEL, build_uniform_mesh, nested_dissection_order
 from .solver import (PcgConvergenceError, Preconditioner, SpectrumError,
                      build_projector, dense_preconditioned_spectrum,
                      dense_preconditioner_matrix, measure_inf_sup, pcg_solve,
@@ -145,7 +145,12 @@ def prepare_case(level: int, pair: str = "p2p0",
     reduced = apply_dirichlet(
         assemble_system(build_uniform_mesh(level), pressure_kind(pair), problem),
         problem)
-    a_factor = factor_spd(reduced.A)
+    # free dofs are blocked by component, so free node k owns dofs k and m + k;
+    # each node's two dofs stay adjacent in the nested-dissection order
+    m = reduced.dim // 2
+    nodes = nested_dissection_order(reduced.V.dof_points[reduced.free[:m]],
+                                    reduced.V.mesh.h)
+    a_factor = factor_spd(reduced.A, np.column_stack([nodes, nodes + m]).ravel())
     return PreparedCase(
         pair=pair, level=level, reduced=reduced,
         a_factor=a_factor, projector=build_projector(reduced, a_factor),

@@ -1,15 +1,18 @@
 """Direct sparse factorizations and small dense eigenvalue utilities.
 
-Factorizations wrap SuperLU.  The SPD path runs it in symmetric mode with a
-fill-reducing symmetric ordering (MMD on ``A + A^T``) and checks the pivots.
-The saddle path factors ``[[A, B^T], [B, 0]]`` in a constrained elimination
-order taken from the SPD factor of ``A``: the velocities keep ``A``'s order,
-and each pressure is eliminated right after its last-eliminated velocity
-neighbour, so by the time a zero diagonal entry of the pressure block is
-reached it has filled in.  SuperLU then runs in symmetric mode on the
-permuted matrix with a small diagonal pivot threshold (``1e-4``), which keeps
-the diagonal pivots (and the factor symmetric) unless one is tiny against its
-column.  Both expose a ``solve`` that also accepts blocks of right-hand sides.
+Factorizations wrap SuperLU in symmetric mode and share one body; they
+differ only in the pivot threshold and the pivot check.  The SPD path
+factors in the elimination order it is given (the stiffness matrix gets a
+geometric nested-dissection order from the mesh) or, given none, in
+SuperLU's minimum-degree order (MMD on ``A + A^T``), for matrices without
+grid geometry.  The saddle path factors ``[[A, B^T], [B, 0]]`` in a
+constrained elimination order taken from the SPD factor of ``A``: the
+velocities keep ``A``'s order, and each pressure is eliminated right after
+its last-eliminated velocity neighbour, so by the time a zero diagonal entry
+of the pressure block is reached it has filled in.  Its diagonal pivot
+threshold (``1e-4``) keeps the diagonal pivots (and the factor symmetric)
+unless one is tiny against its column.  Both expose a ``solve`` that also
+accepts blocks of right-hand sides.
 """
 
 from __future__ import annotations
@@ -48,11 +51,25 @@ class Factorization:
     """Direct factorization wrapping a SuperLU object.
 
     ``order`` is the elimination order the matrix was permuted by before
-    SuperLU saw it (``K[order][:, order]``), or ``None`` for the identity.
+    SuperLU saw it (``K[order][:, order]``), or ``None`` when SuperLU chose
+    the order itself.
     """
 
     _lu: object
     order: np.ndarray | None = None
+
+    def elimination_positions(self) -> np.ndarray:
+        """Position at which the factor eliminates each original index.
+
+        SuperLU eliminates column ``j`` of the matrix it factored at
+        position ``perm_c[j]`` (its fill-reducing order when given none).
+        """
+        perm_c = self._lu.perm_c
+        if self.order is None:
+            return perm_c
+        positions = np.empty_like(perm_c)
+        positions[self.order] = perm_c
+        return positions
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``K x = rhs``; ``rhs`` may be a vector or a dense block."""
@@ -64,31 +81,44 @@ class Factorization:
         return x
 
 
-def factor_spd(matrix) -> Factorization:
-    """Factor a symmetric positive definite sparse matrix.
-
-    Uses a symmetric fill-reducing ordering with no row pivoting, so the
-    pivot sequence is exactly the diagonal of the triangular factor; any
-    nonpositive pivot disproves positive definiteness and raises
-    ``NotSpdError`` naming the offending index.
-    """
+def _factor(matrix, order, diag_pivot_thresh: float) -> Factorization:
+    """SuperLU in symmetric mode on ``matrix[order][:, order]`` (MMD if None)."""
     csc = sp.csc_array(matrix)
     if csc.shape[0] != csc.shape[1]:
         raise ValueError(f"square matrix required, got shape {csc.shape}")
+    if order is None:
+        permc_spec = "MMD_AT_PLUS_A"
+    else:
+        order = np.asarray(order)
+        csc, permc_spec = csc[order][:, order], "NATURAL"
     try:
-        lu = splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(csc, permc_spec=permc_spec, diag_pivot_thresh=diag_pivot_thresh,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:
-        raise SingularMatrixError(f"SPD factorization failed: {exc}") from exc
-    pivots = lu.U.diagonal()
+        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
+    return Factorization(lu, order)
+
+
+def factor_spd(matrix, order=None) -> Factorization:
+    """Factor a symmetric positive definite sparse matrix.
+
+    Factors ``matrix[order][:, order]`` in that order, or, with ``order``
+    ``None``, in SuperLU's minimum-degree order of ``A + A^T`` (for matrices
+    without grid geometry).  No row is pivoted, so the pivot sequence is
+    exactly the diagonal of the triangular factor; any nonpositive pivot
+    disproves positive definiteness and raises ``NotSpdError`` naming the
+    offending index.
+    """
+    factor = _factor(matrix, order, 0.0)
+    # lu.U makes SciPy build and cache CSC copies of L and U for the factor's lifetime
+    pivots = factor._lu.U.diagonal()
     bad = np.flatnonzero(pivots <= 0.0)
     if bad.size:
         k = int(bad[0])
+        row = int(np.flatnonzero(factor.elimination_positions() == k)[0])
         raise NotSpdError(
-            f"matrix is not SPD: pivot {k} (original row {int(lu.perm_r[k])}) "
-            f"is {pivots[k]:.3e}"
-        )
-    return Factorization(lu)
+            f"matrix is not SPD: pivot {k} (original row {row}) is {pivots[k]:.3e}")
+    return factor
 
 
 def saddle_order(a_factor: Factorization, b) -> np.ndarray:
@@ -103,7 +133,7 @@ def saddle_order(a_factor: Factorization, b) -> np.ndarray:
     pressures ``n..n+m-1``.
     """
     b = sp.csr_array(b)
-    velocity_pos = a_factor._lu.perm_c  # SuperLU puts column i at perm_c[i]
+    velocity_pos = a_factor.elimination_positions()
     # reduceat misreads empty rows, and an empty row makes the saddle singular
     if np.any(np.diff(b.indptr) == 0):
         raise SingularMatrixError("a pressure dof has no velocity neighbour, "
@@ -125,24 +155,16 @@ def factor_symmetric_indefinite(matrix, order) -> Factorization:
     factorization, or a pivot that vanishes relative to the largest one,
     raises ``SingularMatrixError``.
     """
-    csc = sp.csc_array(matrix)
-    if csc.shape[0] != csc.shape[1]:
-        raise ValueError(f"square matrix required, got shape {csc.shape}")
-    order = np.asarray(order)
-    try:
-        lu = splu(csc[order][:, order], permc_spec="NATURAL",
-                  diag_pivot_thresh=_SADDLE_PIVOT_THRESH,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
-    pivots = lu.U.diagonal()
+    factor = _factor(matrix, order, _SADDLE_PIVOT_THRESH)
+    # lu.U makes SciPy build and cache CSC copies of L and U for the factor's lifetime
+    pivots = factor._lu.U.diagonal()
     largest = np.max(np.abs(pivots))
     if largest == 0.0 or np.min(np.abs(pivots)) <= _SINGULAR_PIVOT_RTOL * largest:
         raise SingularMatrixError(
             "matrix is numerically singular: smallest pivot "
             f"{np.min(np.abs(pivots)):.3e} vs largest {largest:.3e}"
         )
-    return Factorization(lu, order)
+    return factor
 
 
 def dense_symmetric_generalized_eigs(K, M) -> np.ndarray:

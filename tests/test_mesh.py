@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from elastprec.mesh import MAX_LEVEL, build_uniform_mesh, dump_mesh
+from elastprec.mesh import (MAX_LEVEL, build_uniform_mesh, dump_mesh,
+                            nested_dissection_order)
 
 
 @pytest.mark.parametrize("level,nv,nt,ne", [
@@ -105,3 +106,12 @@ def test_dump_mesh():
     # header + one line per entity
     assert len(lines) == 1 + mesh.num_vertices + mesh.num_cells + mesh.num_edges
     assert lines[1].startswith("vertex 0 ")
+
+
+def test_nested_dissection_needs_a_mesh_line():
+    # the 9 quadratic nodes of the level-0 mesh lie in one closed cell, and
+    # no mesh line runs strictly inside it
+    mesh = build_uniform_mesh(0)
+    points = np.vstack([mesh.vertices, mesh.edge_midpoints()])
+    with pytest.raises(ValueError, match="no mesh line"):
+        nested_dissection_order(points, mesh.h)
