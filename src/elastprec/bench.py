@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__, fourier
 from .fem import (PROJECTION_MODES, ManufacturedProblem, apply_dirichlet,
                   assemble_system, compute_errors)
-from .mesh import MAX_LEVEL, build_uniform_mesh, nested_dissection_order
+from .mesh import (MAX_LEVEL, build_uniform_mesh, check_mesh_memory,
+                   nested_dissection_order)
 from .solver import (PcgConvergenceError, Preconditioner, SpectrumError,
                      build_projector, dense_preconditioned_spectrum,
                      dense_preconditioner_matrix, measure_inf_sup, pcg_solve,
@@ -74,6 +75,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"level {level} outside the allowed range [0, {guard}] "
                     f"(raise --max-level-guard for deeper meshes)")
+            check_mesh_memory(level)
         for nu in self.nu_values:
             poisson_to_lambda(nu)
         if not 0.0 < self.tolerance < 1.0:

@@ -149,13 +149,33 @@ def interpolate(space: DofSpace, func) -> np.ndarray:
     return vals.reshape(space.dof_points.shape[0], -1).T.ravel()
 
 
-def _geometry(mesh: Mesh):
+def _jacobians(mesh: Mesh):
+    """First vertex and Jacobian ``[p1 - p0, p2 - p0]`` of every cell."""
     p0 = mesh.vertices[mesh.cells[:, 0]]
     p1 = mesh.vertices[mesh.cells[:, 1]]
     p2 = mesh.vertices[mesh.cells[:, 2]]
     jac = np.empty((mesh.num_cells, 2, 2))
     jac[:, :, 0] = p1 - p0
     jac[:, :, 1] = p2 - p0
+    return p0, jac
+
+
+def _cell_shapes(mesh: Mesh):
+    """Distinct cell Jacobians and, per cell, the index of its own.
+
+    Local matrices depend on a cell only through its Jacobian, so they are
+    computed once per distinct Jacobian (two on the uniform mesh) and
+    gathered per cell by the returned index.  Jacobians are compared
+    exactly, so a mesh whose cells all differ gets one shape per cell.
+    """
+    _, jac = _jacobians(mesh)
+    _, first, inverse = np.unique(jac.reshape(-1, 4), axis=0,
+                                  return_index=True, return_inverse=True)
+    return jac[first], inverse.reshape(-1)
+
+
+def _det_inv_t(jac: np.ndarray):
+    """Determinant and inverse transpose of a stack of 2x2 Jacobians."""
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     inv_t = np.empty_like(jac)
     inv_t[:, 0, 0] = jac[:, 1, 1]
@@ -163,12 +183,18 @@ def _geometry(mesh: Mesh):
     inv_t[:, 1, 0] = -jac[:, 0, 1]
     inv_t[:, 1, 1] = jac[:, 0, 0]
     inv_t /= det[:, None, None]
-    return p0, jac, det, inv_t
+    return det, inv_t
 
 
-def _physical_grads(mesh: Mesh, rule: TriangleRule):
+def _geometry(mesh: Mesh):
+    """Per cell: first vertex, Jacobian, its determinant and inverse transpose."""
+    p0, jac = _jacobians(mesh)
+    return (p0, jac, *_det_inv_t(jac))
+
+
+def _physical_grads(jac: np.ndarray, rule: TriangleRule):
     """Physical P2 gradients at the rule points, shape (nt, nq, 6, 2)."""
-    _, _, det, inv_t = _geometry(mesh)
+    det, inv_t = _det_inv_t(jac)
     ref = p2_grads(rule.points)
     return np.einsum("tab,qib->tqia", inv_t, ref), det
 
@@ -194,11 +220,13 @@ def assemble_epsilon_stiffness(V: DofSpace) -> sp.csr_array:
 
     The integrand is quadratic, so the bundled degree-5 rule integrates it
     exactly.  Local blocks are mirrored before scatter, which makes the
-    global matrix symmetric to the last bit.
+    global matrix symmetric to the last bit.  One block is computed per
+    distinct cell Jacobian.
     """
     if V.kind != "p2v":
         raise ValueError("strain stiffness requires the quadratic vector space")
-    grads, det = _physical_grads(V.mesh, RULE_DEGREE5)
+    jac, shape = _cell_shapes(V.mesh)
+    grads, det = _physical_grads(jac, RULE_DEGREE5)
     w = _scaled_weights(RULE_DEGREE5, det)
     gx = grads[..., 0]
     gy = grads[..., 1]
@@ -207,18 +235,20 @@ def assemble_epsilon_stiffness(V: DofSpace) -> sp.csr_array:
     syy = np.einsum("tq,tqi,tqj->tij", w, gy, gy)
     syx = np.einsum("tq,tqi,tqj->tij", w, gy, gx)
 
-    nt = V.mesh.num_cells
-    local = np.empty((nt, 12, 12))
+    local = np.empty((jac.shape[0], 12, 12))
     local[:, :6, :6] = sxx + 0.5 * syy
     local[:, 6:, 6:] = syy + 0.5 * sxx
     local[:, :6, 6:] = 0.5 * syx
     local[:, 6:, :6] = 0.5 * syx.transpose(0, 2, 1)
     local = 0.5 * (local + local.transpose(0, 2, 1))
-    return _square_scatter(local, V.cell_dofs, V.dof_count)
+    return _square_scatter(local[shape], V.cell_dofs, V.dof_count)
 
 
 def assemble_div(V: DofSpace, Q: DofSpace) -> sp.csr_array:
-    """Assemble the divergence coupling ``B[k, i] = (div phi_i, psi_k)``."""
+    """Assemble the divergence coupling ``B[k, i] = (div phi_i, psi_k)``.
+
+    One local block is computed per distinct cell Jacobian.
+    """
     if V.kind != "p2v":
         raise ValueError("divergence form requires the quadratic vector space")
     if Q.kind not in ("p0", "p1"):
@@ -227,34 +257,39 @@ def assemble_div(V: DofSpace, Q: DofSpace) -> sp.csr_array:
         raise ValueError("velocity and pressure spaces live on different meshes")
 
     rule = RULE_DEGREE5
-    grads, det = _physical_grads(V.mesh, rule)
+    jac, shape = _cell_shapes(V.mesh)
+    grads, det = _physical_grads(jac, rule)
     w = _scaled_weights(rule, det)
     psi = np.ones((rule.num_points, 1)) if Q.kind == "p0" else p1_values(rule.points)
 
-    local = np.empty((V.mesh.num_cells, psi.shape[1], 12))
+    local = np.empty((jac.shape[0], psi.shape[1], 12))
     local[:, :, :6] = np.einsum("tq,qk,tqi->tki", w, psi, grads[..., 0])
     local[:, :, 6:] = np.einsum("tq,qk,tqi->tki", w, psi, grads[..., 1])
 
     nl = local.shape[1]
     rows = np.repeat(Q.cell_dofs, 12, axis=1)
     cols = np.tile(V.cell_dofs, (1, nl))
-    return _scatter(local, rows, cols, (Q.dof_count, V.dof_count))
+    return _scatter(local[shape], rows, cols, (Q.dof_count, V.dof_count))
 
 
 def assemble_pressure_mass(Q: DofSpace) -> sp.csr_array:
-    """Assemble the pressure mass matrix (diagonal for P0)."""
+    """Assemble the pressure mass matrix (diagonal for P0).
+
+    The P1 local block is computed once per distinct cell Jacobian.
+    """
     if Q.kind == "p0":
         return sp.diags_array(Q.mesh.cell_areas(), format="csr")
     if Q.kind != "p1":
         raise ValueError("pressure space must be p0 or p1")
 
     rule = RULE_DEGREE5
-    _, _, det, _ = _geometry(Q.mesh)
+    jac, shape = _cell_shapes(Q.mesh)
+    det, _ = _det_inv_t(jac)
     w = _scaled_weights(rule, det)
     psi = p1_values(rule.points)
     local = np.einsum("tq,qk,ql->tkl", w, psi, psi)
     local = 0.5 * (local + local.transpose(0, 2, 1))
-    return _square_scatter(local, Q.cell_dofs, Q.dof_count)
+    return _square_scatter(local[shape], Q.cell_dofs, Q.dof_count)
 
 
 def assemble_load(problem: ManufacturedProblem, V: DofSpace) -> np.ndarray:
@@ -295,6 +330,11 @@ class _LambdaOperator:
         return self.MQ.diagonal()
 
     @cached_property
+    def BT(self) -> sp.csr_array:
+        """``B^T`` as CSR, computed on first use and shared by every apply."""
+        return self.B.T.tocsr()
+
+    @cached_property
     def mq_factor(self) -> Factorization:
         """Factorization of the pressure mass, computed on first use."""
         return factor_spd(self.MQ)
@@ -315,7 +355,7 @@ class _LambdaOperator:
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
         pv = self.pressure_projection_apply(self.B @ v, projection)
-        return self.A @ v + lam * (self.B.T @ pv)
+        return self.A @ v + lam * (self.BT @ pv)
 
     def lambda_matrix(self, lam: float,
                       projection: str = "diagonal") -> sp.csr_array:
@@ -331,7 +371,7 @@ class _LambdaOperator:
         else:
             scaled = sp.csr_array(
                 self.pressure_projection_apply(self.B.toarray(), projection))
-        return (self.A + lam * (self.B.T @ scaled)).tocsr()
+        return (self.A + lam * (self.BT @ scaled)).tocsr()
 
 
 @dataclass
@@ -385,7 +425,7 @@ class ReducedSystem(_LambdaOperator):
     def rhs(self, lam: float, projection: str = "diagonal") -> np.ndarray:
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
-        lift_term = self.B.T @ self.pressure_projection_apply(self._b_lift, projection)
+        lift_term = self.BT @ self.pressure_projection_apply(self._b_lift, projection)
         return self._rhs_const - lam * lift_term
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
@@ -433,8 +473,8 @@ def compute_errors(u_coeffs: np.ndarray, problem: ManufacturedProblem,
     if V.kind != "p2v":
         raise ValueError("error evaluation requires the quadratic vector space")
     rule = RULE_DEGREE6
-    p0, jac, det, _ = _geometry(V.mesh)
-    grads, _ = _physical_grads(V.mesh, rule)
+    p0, jac = _jacobians(V.mesh)
+    grads, det = _physical_grads(jac, rule)
     w = _scaled_weights(rule, det)
     phi = p2_values(rule.points)
 

@@ -9,12 +9,17 @@ bottom-left-to-top-right diagonal.  Entity numbering is lexicographic
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 # Hard cap on refinement depth; L=12 already means ~33.6M triangles.
 MAX_LEVEL = 12
+
+# Peak memory a mesh build allocates per cell, temporaries included:
+# 320-329 bytes measured at L8-L10.
+_MESH_BYTES_PER_CELL = 330
 
 # Largest node set nested dissection leaves uncut.  With 8, the stiffness
 # fill is within 5% of minimum degree's at L3-L4 and below it from L5 on;
@@ -82,13 +87,33 @@ class Mesh:
         return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_mesh_memory(level: int) -> None:
+    """Raise ``ValueError`` if a level-``level`` mesh cannot fit in memory.
+
+    The estimate is the measured peak bytes per cell of a mesh build times
+    the cell count, against the machine's physical memory; nothing is
+    allocated.
+    """
+    need = 2 * 4**level * _MESH_BYTES_PER_CELL
+    have = _physical_memory_bytes()
+    if need > have:
+        raise ValueError(
+            f"a level-{level} mesh needs about {need / 2**30:.1f} GiB, more than "
+            f"the {have / 2**30:.1f} GiB of physical memory")
+
+
 def build_uniform_mesh(level: int) -> Mesh:
     """Build the level-``L`` uniform triangulation of the unit square.
 
     Parameters
     ----------
     level : int
-        Refinement level; must satisfy ``0 <= level <= MAX_LEVEL``.
+        Refinement level; must satisfy ``0 <= level <= MAX_LEVEL``, and the
+        mesh must fit in physical memory (``check_mesh_memory``).
 
     Returns
     -------
@@ -103,6 +128,7 @@ def build_uniform_mesh(level: int) -> Mesh:
             f"refinement level {level} exceeds the supported maximum {MAX_LEVEL}; "
             f"a level-{level} mesh would hold {2 * 4 ** level} cells"
         )
+    check_mesh_memory(level)
 
     n = 2**level
     h = 1.0 / n
@@ -125,7 +151,7 @@ def build_uniform_mesh(level: int) -> Mesh:
     cells[0::2] = lower
     cells[1::2] = upper
 
-    edges, cell_edges, boundary_edges = _build_edges(cells)
+    edges, cell_edges, boundary_edges = _build_edges(cells, vertices.shape[0])
 
     mesh = Mesh(
         level=level,
@@ -143,14 +169,22 @@ def build_uniform_mesh(level: int) -> Mesh:
     return mesh
 
 
-def _build_edges(cells: np.ndarray):
-    # Local edge k is opposite local vertex k.
-    pairs = np.concatenate([cells[:, [1, 2]], cells[:, [0, 2]], cells[:, [0, 1]]])
-    pairs = np.sort(pairs, axis=1)
-    edges, inverse, counts = np.unique(pairs, axis=0, return_inverse=True,
-                                       return_counts=True)
+def _build_edges(cells: np.ndarray, num_vertices: int):
+    """Edges, per-cell edge indices and boundary flags of a triangulation.
+
+    Each edge is the vertex pair ``lo < hi``, keyed by the integer
+    ``lo * num_vertices + hi``; sorting the keys sorts the pairs
+    lexicographically.  Local edge ``k`` is opposite local vertex ``k``, and
+    an edge of exactly one cell lies on the boundary.
+    """
+    a, b, c = cells.T
+    first = np.concatenate([b, a, a])
+    second = np.concatenate([c, c, b])
+    keys = np.minimum(first, second) * num_vertices + np.maximum(first, second)
+    keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     if np.any(counts > 2):
         raise RuntimeError("edge shared by more than two cells; mesh is broken")
+    edges = np.column_stack([keys // num_vertices, keys % num_vertices])
     cell_edges = inverse.reshape(3, cells.shape[0]).T.copy()
     return edges, cell_edges, counts == 1
 
@@ -170,27 +204,52 @@ def nested_dissection_order(points: np.ndarray, h: float) -> np.ndarray:
     halves; both halves are ordered recursively, then the separator.  Sets
     of at most ``_ND_LEAF`` nodes keep their index order.  Returns a
     permutation of ``range(len(points))``.
+
+    All sets of one depth are cut at once.  Each node carries the base-3
+    path of its cuts (left 0, right 1, separator 2), padded with zeros once
+    its set is a leaf or a separator; one stable sort of the paths gives
+    the left-right-separator order.  A set that spans no mesh line raises
+    ``ValueError``; of several, the one met first in that order is named.
     """
     # half-grid units: every node has integer coordinates, mesh lines are even
     grid = np.rint(np.asarray(points) * (2.0 / h)).astype(np.int64)
-    blocks = []
-
-    def dissect(nodes):
-        if nodes.size <= _ND_LEAF:
-            blocks.append(nodes)
-            return
-        lo, hi = grid[nodes].min(axis=0), grid[nodes].max(axis=0)
-        axis = int(np.argmax(hi - lo))
-        cut = 2 * ((lo[axis] + hi[axis] + 2) // 4)  # even integer nearest the middle
-        if not lo[axis] < cut < hi[axis]:
-            raise ValueError(f"{nodes.size} nodes span no mesh line of spacing {h}")
-        coord = grid[nodes, axis]
-        dissect(nodes[coord < cut])
-        dissect(nodes[coord > cut])
-        blocks.append(nodes[coord == cut])
-
-    dissect(np.arange(grid.shape[0]))
-    return np.concatenate(blocks)
+    # one base-3 digit per depth; a cut halves the longer side, so a level-L
+    # grid needs about 2L + 2 depths, and int64 holds 39
+    path = np.zeros(grid.shape[0], dtype=np.int64)
+    nodes = np.arange(grid.shape[0])  # nodes of the sets still to cut, set by set
+    sizes = np.array([nodes.size])
+    spanless = []  # (one node, size) of each set that spans no mesh line
+    while True:
+        cut_set = sizes > _ND_LEAF
+        nodes, sizes = nodes[np.repeat(cut_set, sizes)], sizes[cut_set]
+        if nodes.size == 0:
+            break
+        starts = np.cumsum(sizes) - sizes
+        coords = grid[nodes]
+        lo = np.minimum.reduceat(coords, starts)
+        hi = np.maximum.reduceat(coords, starts)
+        axis = np.argmax(hi - lo, axis=1)
+        rows = np.arange(sizes.size)
+        lo, hi = lo[rows, axis], hi[rows, axis]
+        cut = 2 * ((lo + hi + 2) // 4)  # even integer nearest the middle
+        spans = (lo < cut) & (cut < hi)
+        spanless.extend(zip(nodes[starts[~spans]], sizes[~spans]))
+        keep = np.repeat(spans, sizes)
+        nodes, sizes, axis, cut = nodes[keep], sizes[spans], axis[spans], cut[spans]
+        coord = grid[nodes, np.repeat(axis, sizes)]
+        side = np.sign(coord - np.repeat(cut, sizes))
+        digit = np.where(side == 0, 2, side > 0)
+        path *= 3
+        path[nodes] += digit
+        # the halves become the next sets, left before right, index order kept
+        half = digit < 2
+        set_key = 2 * np.repeat(np.arange(sizes.size), sizes)[half] + digit[half]
+        nodes = nodes[half][np.argsort(set_key, kind="stable")]
+        sizes = np.bincount(set_key, minlength=2 * sizes.size)
+    if spanless:
+        _, size = min(spanless, key=lambda s: path[s[0]])
+        raise ValueError(f"{size} nodes span no mesh line of spacing {h}")
+    return np.argsort(path, kind="stable")
 
 
 def dump_mesh(mesh: Mesh, stream) -> None:

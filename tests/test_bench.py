@@ -9,7 +9,7 @@ from elastprec.bench import (ExperimentConfig, emit_report, poisson_to_lambda,
                              run_table_experiment, run_verification_suite)
 from elastprec.fem import ReducedSystem
 from elastprec.solver import PcgConvergenceError, SpectrumError
-from elastprec import bench, cli, solver
+from elastprec import bench, cli, mesh, solver
 
 
 SMALL = ExperimentConfig(pairs=("p2p0",), levels=(2,), nu_values=(0.25, 0.4999),
@@ -143,6 +143,17 @@ def test_cli_mesh_info_dump(tmp_path):
 
 def test_cli_mesh_info_bad_level():
     assert cli.main(["mesh-info", "--level", "99"]) == cli.EXIT_CONFIG
+
+
+def test_cli_mesh_info_refuses_mesh_beyond_memory(monkeypatch, capsys):
+    # a fake 64 MiB machine: L9 (524,288 cells) cannot fit, L2 can; were
+    # the guard broken, L9 would still build in a few hundred MB
+    monkeypatch.setattr(mesh, "_physical_memory_bytes", lambda: 64 * 2**20)
+    assert cli.main(["mesh-info", "--level", "9"]) == cli.EXIT_CONFIG
+    assert "physical memory" in capsys.readouterr().err
+    assert cli.main(["mesh-info", "--level", "2"]) == cli.EXIT_OK
+    with pytest.raises(ValueError, match="physical memory"):
+        ExperimentConfig(levels=(9,), max_level_guard=9)
 
 
 def test_cli_bench_csv(tmp_path):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 
 from elastprec.fem import (ManufacturedProblem, apply_dirichlet,
@@ -8,8 +11,8 @@ from elastprec.fem import (ManufacturedProblem, apply_dirichlet,
                            assemble_pressure_mass, assemble_system,
                            build_space, compute_errors, interpolate)
 from elastprec.mesh import build_uniform_mesh
-from elastprec.quadrature import RULE_DEGREE6
-from elastprec.fem import p2_grads, _geometry  # noqa: F401  (oracle use)
+from elastprec.quadrature import RULE_DEGREE5, RULE_DEGREE6
+from elastprec.fem import p1_values, p2_grads, _cell_shapes, _geometry  # noqa: F401  (oracle use)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +262,90 @@ def test_p1_mass_interior_diagonal():
 
 
 # ---------------------------------------------------------------------------
+# one local matrix per cell shape
+
+def _jittered_mesh(level, seed=0):
+    # interior vertices move by up to 0.15 h per coordinate, so every cell
+    # gets its own Jacobian and all stay counterclockwise
+    mesh = build_uniform_mesh(level)
+    shift = np.random.default_rng(seed).uniform(-0.15, 0.15, mesh.vertices.shape) * mesh.h
+    shift[mesh.boundary_vertex_flags] = 0.0
+    return dataclasses.replace(mesh, vertices=mesh.vertices + shift)
+
+
+def _per_cell_scatter(local, rows, cols, shape):
+    return sp.coo_array((local.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+
+
+def _per_cell_reference(mesh):
+    """A, B (P0 and P1) and the P1 MQ, one local matrix per cell."""
+    V = build_space(mesh, "p2v")
+    rule = RULE_DEGREE5
+    _, _, det, inv_t = _geometry(mesh)
+    grads = np.einsum("tab,qib->tqia", inv_t, p2_grads(rule.points))
+    w = rule.weights[None, :] * det[:, None]
+    gx, gy = grads[..., 0], grads[..., 1]
+    sxx = np.einsum("tq,tqi,tqj->tij", w, gx, gx)
+    syy = np.einsum("tq,tqi,tqj->tij", w, gy, gy)
+    syx = np.einsum("tq,tqi,tqj->tij", w, gy, gx)
+    local = np.empty((mesh.num_cells, 12, 12))
+    local[:, :6, :6] = sxx + 0.5 * syy
+    local[:, 6:, 6:] = syy + 0.5 * sxx
+    local[:, :6, 6:] = 0.5 * syx
+    local[:, 6:, :6] = 0.5 * syx.transpose(0, 2, 1)
+    local = 0.5 * (local + local.transpose(0, 2, 1))
+    dofs = V.cell_dofs
+    ref = {"A": _per_cell_scatter(local, np.repeat(dofs, 12, axis=1),
+                                  np.tile(dofs, (1, 12)), (V.dof_count,) * 2)}
+    for kind in ("p0", "p1"):
+        Q = build_space(mesh, kind)
+        psi = np.ones((rule.num_points, 1)) if kind == "p0" else p1_values(rule.points)
+        local = np.empty((mesh.num_cells, psi.shape[1], 12))
+        local[:, :, :6] = np.einsum("tq,qk,tqi->tki", w, psi, gx)
+        local[:, :, 6:] = np.einsum("tq,qk,tqi->tki", w, psi, gy)
+        ref["B" + kind] = _per_cell_scatter(
+            local, np.repeat(Q.cell_dofs, 12, axis=1),
+            np.tile(dofs, (1, psi.shape[1])), (Q.dof_count, V.dof_count))
+    psi = p1_values(rule.points)
+    local = np.einsum("tq,qk,ql->tkl", w, psi, psi)
+    local = 0.5 * (local + local.transpose(0, 2, 1))
+    cells = mesh.cells
+    ref["MQp1"] = _per_cell_scatter(local, np.repeat(cells, 3, axis=1),
+                                    np.tile(cells, (1, 3)), (mesh.num_vertices,) * 2)
+    return ref
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.format == want.format == "csr"
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_uniform_mesh_has_two_cell_shapes():
+    mesh = build_uniform_mesh(4)
+    jac, shape = _cell_shapes(mesh)
+    assert jac.shape == (2, 2, 2)
+    assert shape.shape == (mesh.num_cells,)
+    np.testing.assert_array_equal(shape[0::2], shape[0])
+    np.testing.assert_array_equal(shape[1::2], shape[1])
+
+
+@pytest.mark.parametrize("jitter,level", [(True, 2), (True, 3), (False, 4)])
+def test_assembly_matches_per_cell_reference(jitter, level):
+    mesh = _jittered_mesh(level) if jitter else build_uniform_mesh(level)
+    assert np.all(mesh.cell_areas() > 0)
+    # on the jittered mesh every cell is its own shape
+    assert _cell_shapes(mesh)[0].shape[0] == (mesh.num_cells if jitter else 2)
+    ref = _per_cell_reference(mesh)
+    V = build_space(mesh, "p2v")
+    _assert_bitwise_equal(assemble_epsilon_stiffness(V), ref["A"])
+    for kind in ("p0", "p1"):
+        _assert_bitwise_equal(assemble_div(V, build_space(mesh, kind)), ref["B" + kind])
+    _assert_bitwise_equal(assemble_pressure_mass(build_space(mesh, "p1")), ref["MQp1"])
+
+
+# ---------------------------------------------------------------------------
 # the modified operator
 
 def _small_system(pressure="p0", level=2):
@@ -304,6 +391,20 @@ def test_lambda_operator_matrix_matches_application():
         np.testing.assert_allclose(
             mat @ v, system.apply_lambda(3.5, v, projection),
             rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["case_p2p0_l2", "case_p2p1_l2"])
+def test_lambda_operator_caches_csr_transpose(fixture, request):
+    red = request.getfixturevalue(fixture).reduced
+    bt = red.BT
+    assert bt is red.BT and bt.format == "csr"
+    _assert_bitwise_equal(bt, red.B.T.tocsr())
+    # the cached CSR transpose gives the same bits as the CSC view B.T
+    rng = np.random.default_rng(12)
+    for v in (rng.standard_normal(red.dim), rng.standard_normal((red.dim, 3))):
+        pv = red.pressure_projection_apply(red.B @ v)
+        want = red.A @ v + 2499.5 * (red.B.T @ pv)
+        assert red.apply_lambda(2499.5, v).tobytes() == want.tobytes()
 
 
 def test_exact_projection_equals_diagonal_for_p0():

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from elastprec.mesh import (MAX_LEVEL, build_uniform_mesh, dump_mesh,
+from elastprec.mesh import (_ND_LEAF, MAX_LEVEL, build_uniform_mesh, dump_mesh,
                             nested_dissection_order)
 
 
@@ -115,3 +115,86 @@ def test_nested_dissection_needs_a_mesh_line():
     points = np.vstack([mesh.vertices, mesh.edge_midpoints()])
     with pytest.raises(ValueError, match="no mesh line"):
         nested_dissection_order(points, mesh.h)
+
+
+def _free_p2_nodes(mesh):
+    points = np.vstack([mesh.vertices, mesh.edge_midpoints()])
+    boundary = np.concatenate([mesh.boundary_vertex_flags, mesh.boundary_edge_flags])
+    return points[~boundary]
+
+
+def _recursive_nested_dissection(points, h):
+    """Reference: one recursive call per node set, depth first."""
+    grid = np.rint(np.asarray(points) * (2.0 / h)).astype(np.int64)
+    blocks = []
+
+    def dissect(nodes):
+        if nodes.size <= _ND_LEAF:
+            blocks.append(nodes)
+            return
+        lo, hi = grid[nodes].min(axis=0), grid[nodes].max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        cut = 2 * ((lo[axis] + hi[axis] + 2) // 4)
+        if not lo[axis] < cut < hi[axis]:
+            raise ValueError(f"{nodes.size} nodes span no mesh line of spacing {h}")
+        coord = grid[nodes, axis]
+        dissect(nodes[coord < cut])
+        dissect(nodes[coord > cut])
+        blocks.append(nodes[coord == cut])
+
+    dissect(np.arange(grid.shape[0]))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_nested_dissection_matches_recursive_reference(level):
+    mesh = build_uniform_mesh(level)
+    points = _free_p2_nodes(mesh)
+    order = nested_dissection_order(points, mesh.h)
+    assert order.dtype == np.int64
+    np.testing.assert_array_equal(order, _recursive_nested_dissection(points, mesh.h))
+
+
+def _outcome(order_fn, points, h):
+    try:
+        return order_fn(points, h).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_nested_dissection_errors_match_recursive_reference():
+    # the quadratic nodes of the level-0 mesh span no mesh line
+    mesh = build_uniform_mesh(0)
+    points = np.vstack([mesh.vertices, mesh.edge_midpoints()])
+    want = _outcome(_recursive_nested_dissection, points, mesh.h)
+    assert want == "9 nodes span no mesh line of spacing 1.0"
+    assert _outcome(nested_dissection_order, points, mesh.h) == want
+    # repeated half-grid points leave spanless sets at several depths; of
+    # those, the one the depth-first reference meets first is named
+    rng = np.random.default_rng(3)
+    raised = 0
+    for _ in range(40):
+        points = rng.integers(0, 9, size=(rng.integers(20, 200), 2)) * 0.125
+        want = _outcome(_recursive_nested_dissection, points, 0.25)
+        assert _outcome(nested_dissection_order, points, 0.25) == want
+        raised += isinstance(want, str)
+    assert 0 < raised < 40
+
+
+def _unique_pair_edges(cells):
+    """Reference: edges as lexicographically unique sorted vertex pairs."""
+    pairs = np.sort(np.concatenate([cells[:, [1, 2]], cells[:, [0, 2]], cells[:, [0, 1]]]),
+                    axis=1)
+    edges, inverse, counts = np.unique(pairs, axis=0, return_inverse=True,
+                                       return_counts=True)
+    return edges, inverse.reshape(3, cells.shape[0]).T, counts == 1
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_edges_match_unique_pair_reference(level):
+    mesh = build_uniform_mesh(level)
+    edges, cell_edges, boundary = _unique_pair_edges(mesh.cells)
+    for got, want in ((mesh.edges, edges), (mesh.cell_edges, cell_edges),
+                      (mesh.boundary_edge_flags, boundary)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
