@@ -22,7 +22,7 @@ from . import __version__, fourier
 from .fem import (PROJECTION_MODES, ManufacturedProblem, apply_dirichlet,
                   assemble_system, compute_errors)
 from .mesh import (MAX_LEVEL, build_uniform_mesh, check_mesh_memory,
-                   nested_dissection_order)
+                   nested_dissection)
 from .solver import (PcgConvergenceError, Preconditioner, SpectrumError,
                      build_projector, dense_preconditioned_spectrum,
                      dense_preconditioner_matrix, measure_inf_sup, pcg_solve,
@@ -98,9 +98,20 @@ class BenchCell:
 
 
 @dataclass
+class BenchSetup:
+    """Factor fill, nnz(L+U), of one (pair, level); ``None`` if set-up failed."""
+
+    pair: str
+    level: int
+    fill_a_nnz: int | None = None
+    fill_saddle_nnz: int | None = None
+
+
+@dataclass
 class BenchResult:
     config: ExperimentConfig
     cells: list
+    setups: list = field(default_factory=list)
     version: str = __version__
 
     def cell(self, pair: str, level: int, nu: float) -> BenchCell:
@@ -117,6 +128,7 @@ class PreparedCase:
     pair: str
     level: int
     reduced: object
+    dissection: object
     a_factor: object
     projector: object
     problem: ManufacturedProblem
@@ -150,12 +162,13 @@ def prepare_case(level: int, pair: str = "p2p0",
     # free dofs are blocked by component, so free node k owns dofs k and m + k;
     # each node's two dofs stay adjacent in the nested-dissection order
     m = reduced.dim // 2
-    nodes = nested_dissection_order(reduced.V.dof_points[reduced.free[:m]],
-                                    reduced.V.mesh.h)
+    dissection = nested_dissection(reduced.V.dof_points[reduced.free[:m]],
+                                   reduced.V.mesh.h)
+    nodes = dissection.order
     a_factor = factor_spd(reduced.A, np.column_stack([nodes, nodes + m]).ravel())
     return PreparedCase(
-        pair=pair, level=level, reduced=reduced,
-        a_factor=a_factor, projector=build_projector(reduced, a_factor),
+        pair=pair, level=level, reduced=reduced, dissection=dissection,
+        a_factor=a_factor, projector=build_projector(reduced, a_factor, dissection),
         problem=problem, projection=projection)
 
 
@@ -184,12 +197,14 @@ def run_table_experiment(config: ExperimentConfig,
                          problem: ManufacturedProblem | None = None) -> BenchResult:
     """Fill the full (pair, level, nu) grid of the configuration.
 
-    A (pair, level) whose set-up fails records that error on each of its
-    cells, and the sweep goes on.
+    Each (pair, level) records one set-up.  A (pair, level) whose set-up
+    fails records that error on each of its cells, and the sweep goes on.
     """
-    cells = []
+    cells, setups = [], []
     for pair in config.pairs:
         for level in config.levels:
+            setup = BenchSetup(pair=pair, level=level)
+            setups.append(setup)
             try:
                 case = prepare_case(level, pair, problem, config.projection)
             except _NUMERICAL_ERRORS as exc:
@@ -198,9 +213,11 @@ def run_table_experiment(config: ExperimentConfig,
                                        error=f"set-up failed: {exc}")
                              for nu in config.nu_values)
                 continue
+            setup.fill_a_nnz = case.a_factor.nnz
+            setup.fill_saddle_nnz = case.projector.factorization.nnz
             for nu in config.nu_values:
                 cells.append(solve_cell(case, nu, config.tolerance))
-    return BenchResult(config=config, cells=cells)
+    return BenchResult(config=config, cells=cells, setups=setups)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +284,7 @@ def _emit_json(result: BenchResult) -> str:
     payload = {
         "version": result.version,
         "config": asdict(result.config),
+        "setups": [asdict(s) for s in result.setups],
         "cells": [asdict(c) for c in result.cells],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -4,7 +4,8 @@ The mesh at refinement level ``L`` covers ``[0, 1]^2`` with a regular grid
 of ``2^L x 2^L`` squares, each split into two triangles along the
 bottom-left-to-top-right diagonal.  Entity numbering is lexicographic
 (by y, then x), so repeated runs produce bit-identical meshes.
-``nested_dissection_order`` orders nodes of such a grid for elimination.
+``nested_dissection`` orders nodes of such a grid for elimination and
+records the cut tree behind the order.
 """
 
 from __future__ import annotations
@@ -194,28 +195,58 @@ def _boundary_vertices(vertices: np.ndarray) -> np.ndarray:
     return (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
 
 
-def nested_dissection_order(points: np.ndarray, h: float) -> np.ndarray:
-    """Nested-dissection elimination order of nodes of a structured grid.
+@dataclass(frozen=True)
+class NestedDissection:
+    """Nested-dissection tree of a node set, node by node.
+
+    Attributes
+    ----------
+    order : (n,) int array
+        Elimination order: a permutation of the nodes, each subtree
+        contiguous, its two halves before its separator.
+    path : (n,) int array
+        Base-3 path of each node's cuts (left 0, right 1, separator 2),
+        ``digits`` digits long, the first cut most significant and zeros
+        after the node's last cut.  Its first ``k`` digits,
+        ``path // 3**(digits - k)``, name the depth-``k`` subtree holding
+        the node.
+    depth : (n,) int array
+        Number of cuts in the node's path.  The node's set is the separator
+        of its depth-``depth - 1`` subtree if its last digit is 2, and
+        otherwise the leaf its cuts end in.
+    digits : int
+        Number of depths at which some set was cut.
+    """
+
+    order: np.ndarray
+    path: np.ndarray
+    depth: np.ndarray
+    digits: int
+
+
+def nested_dissection(points: np.ndarray, h: float) -> NestedDissection:
+    """Nested dissection of nodes of a structured grid.
 
     ``points`` are nodes on the half-grid of a mesh with spacing ``h`` (the
     P2 nodes lie there).  The bounding box of a set of nodes is cut across
     its longer side along the mesh line nearest its middle.  No cell
     straddles a mesh line, so the nodes on the line separate the two
     halves; both halves are ordered recursively, then the separator.  Sets
-    of at most ``_ND_LEAF`` nodes keep their index order.  Returns a
-    permutation of ``range(len(points))``.
+    of at most ``_ND_LEAF`` nodes are leaves and keep their index order.
 
     All sets of one depth are cut at once.  Each node carries the base-3
-    path of its cuts (left 0, right 1, separator 2), padded with zeros once
-    its set is a leaf or a separator; one stable sort of the paths gives
-    the left-right-separator order.  A set that spans no mesh line raises
-    ``ValueError``; of several, the one met first in that order is named.
+    path of its cuts, padded with zeros once its set is a leaf or a
+    separator; one stable sort of the paths gives the left-right-separator
+    order.  A set that spans no mesh line raises ``ValueError``; of several,
+    the one met first in that order is named.
     """
     # half-grid units: every node has integer coordinates, mesh lines are even
     grid = np.rint(np.asarray(points) * (2.0 / h)).astype(np.int64)
     # one base-3 digit per depth; a cut halves the longer side, so a level-L
     # grid needs about 2L + 2 depths, and int64 holds 39
     path = np.zeros(grid.shape[0], dtype=np.int64)
+    depth = np.zeros(grid.shape[0], dtype=np.int64)
+    digits = 0
     nodes = np.arange(grid.shape[0])  # nodes of the sets still to cut, set by set
     sizes = np.array([nodes.size])
     spanless = []  # (one node, size) of each set that spans no mesh line
@@ -241,6 +272,8 @@ def nested_dissection_order(points: np.ndarray, h: float) -> np.ndarray:
         digit = np.where(side == 0, 2, side > 0)
         path *= 3
         path[nodes] += digit
+        depth[nodes] += 1
+        digits += 1
         # the halves become the next sets, left before right, index order kept
         half = digit < 2
         set_key = 2 * np.repeat(np.arange(sizes.size), sizes)[half] + digit[half]
@@ -249,7 +282,7 @@ def nested_dissection_order(points: np.ndarray, h: float) -> np.ndarray:
     if spanless:
         _, size = min(spanless, key=lambda s: path[s[0]])
         raise ValueError(f"{size} nodes span no mesh line of spacing {h}")
-    return np.argsort(path, kind="stable")
+    return NestedDissection(np.argsort(path, kind="stable"), path, depth, digits)
 
 
 def dump_mesh(mesh: Mesh, stream) -> None:

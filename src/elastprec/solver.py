@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import ReducedSystem
+from .mesh import NestedDissection
 from .sparse_linalg import (_DENSE_LIMIT, Factorization,
                             dense_symmetric_generalized_eigs, factor_spd,
                             factor_symmetric_indefinite, saddle_order,
@@ -77,12 +78,14 @@ class StokesProjector:
     pressure dof pinned to zero (the constant-pressure nullspace of the
     pure-Dirichlet problem); the velocity block is unaffected by the pin.
     The saddle is factored once, in the elimination order of ``a_factor``
-    (the factorization of ``A``) extended to the pressures, and reused by
-    every application.
+    (the factorization of ``A``) extended to the pressures, each placed in
+    a subtree of ``dissection`` (the nested dissection of the velocity
+    nodes behind that order; see ``saddle_order``), and reused by every
+    application.
     """
 
     def __init__(self, A: sp.csr_array, B: sp.csr_array, MQ: sp.csr_array,
-                 a_factor: Factorization):
+                 a_factor: Factorization, dissection: NestedDissection):
         self.A = A
         self.n_velocity = A.shape[1]
         self.n_pressure = B.shape[0]
@@ -91,7 +94,7 @@ class StokesProjector:
         b_pinned = B[:-1]
         saddle = sp.block_array([[A, b_pinned.T], [b_pinned, None]], format="csc")
         self.factorization: Factorization = factor_symmetric_indefinite(
-            saddle, saddle_order(a_factor, b_pinned))
+            saddle, saddle_order(a_factor, b_pinned, dissection))
 
     def _solve(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=float)
@@ -121,14 +124,15 @@ class StokesProjector:
         return v, p
 
 
-def build_projector(reduced: ReducedSystem,
-                    a_factor: Factorization) -> StokesProjector:
+def build_projector(reduced: ReducedSystem, a_factor: Factorization,
+                    dissection: NestedDissection) -> StokesProjector:
     """Stokes projector on the Dirichlet-free space of a reduced system.
 
-    ``a_factor`` is the factorization of ``reduced.A``; the saddle reuses
-    its elimination order.
+    ``a_factor`` is the factorization of ``reduced.A`` in the order of
+    ``dissection``, the nested dissection of the free velocity nodes; the
+    saddle reuses both.
     """
-    return StokesProjector(reduced.A, reduced.B, reduced.MQ, a_factor)
+    return StokesProjector(reduced.A, reduced.B, reduced.MQ, a_factor, dissection)
 
 
 class Preconditioner:

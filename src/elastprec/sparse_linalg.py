@@ -6,10 +6,13 @@ factors in the elimination order it is given (the stiffness matrix gets a
 geometric nested-dissection order from the mesh) or, given none, in
 SuperLU's minimum-degree order (MMD on ``A + A^T``), for matrices without
 grid geometry.  The saddle path factors ``[[A, B^T], [B, 0]]`` in a
-constrained elimination order taken from the SPD factor of ``A``: the
-velocities keep ``A``'s order, and each pressure is eliminated right after
-its last-eliminated velocity neighbour, so by the time a zero diagonal entry
-of the pressure block is reached it has filled in.  Its diagonal pivot
+constrained elimination order taken from the SPD factor of ``A`` and the
+nested dissection behind it: the velocities keep ``A``'s order, and each
+pressure is eliminated inside the smallest dissection subtree that holds at
+least two of its velocity nodes, right after its last-eliminated neighbour
+there, so by the time a zero diagonal entry of the pressure block is
+reached it has filled in, and a separator's dense block is not widened by
+the pressures of the cells that merely touch it.  Its diagonal pivot
 threshold (``1e-4``) keeps the diagonal pivots (and the factor symmetric)
 unless one is tiny against its column.  Both expose a ``solve`` that also
 accepts blocks of right-hand sides.
@@ -24,6 +27,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .mesh import NestedDissection
+
 # Largest matrix dimension the dense diagnostics (eigensolves, dense
 # preconditioner matrices) accept.
 _DENSE_LIMIT = 2200
@@ -36,6 +41,13 @@ _SINGULAR_PIVOT_RTOL = 1e-12
 # smaller than this fraction of the largest entry of its column.  A larger
 # threshold (0.01) swaps rows on the P2-P1 saddle and adds fill.
 _SADDLE_PIVOT_THRESH = 1e-4
+
+# A pressure is eliminated inside a dissection subtree only if at least this
+# many of its velocity nodes lie there.  Two P2-P0 cells that share a
+# diagonal can have only its midpoint inside their leaf, where their rows of
+# B are b and -b: with a minimum of 1 the second pressure's pivot is exactly
+# zero.
+_SADDLE_MIN_NODES = 2
 
 
 class NotSpdError(ValueError):
@@ -57,6 +69,11 @@ class Factorization:
 
     _lu: object
     order: np.ndarray | None = None
+
+    @property
+    def nnz(self) -> int:
+        """Fill of the factor: nonzeros of L and U together."""
+        return int(self._lu.nnz)
 
     def elimination_positions(self) -> np.ndarray:
         """Position at which the factor eliminates each original index.
@@ -121,24 +138,65 @@ def factor_spd(matrix, order=None) -> Factorization:
     return factor
 
 
-def saddle_order(a_factor: Factorization, b) -> np.ndarray:
+def saddle_order(a_factor: Factorization, b,
+                 dissection: NestedDissection) -> np.ndarray:
     """Elimination order of the saddle ``[[A, B^T], [B, 0]]``.
 
     ``a_factor`` is the SPD factorization of ``A`` and ``b`` the (pinned)
-    constraint matrix, one row per pressure.  Velocities keep the order in
-    which ``a_factor`` eliminates them; each pressure follows its
-    last-eliminated velocity neighbour.  Pressures with the same last
-    neighbour keep their index order, so the order is deterministic.
-    Returns indices into the saddle's rows: velocities ``0..n-1``, then
-    pressures ``n..n+m-1``.
+    constraint matrix, one row per pressure.  ``dissection`` is the nested
+    dissection of the ``m`` velocity nodes that ``a_factor``'s order was
+    built from; the velocity dofs are blocked by component, so dof ``j``
+    belongs to node ``j % m``.  Velocities keep the order in which
+    ``a_factor`` eliminates them.
+
+    The neighbours of a pressure are the nodes of its row of ``b``.  It is
+    placed in the smallest subtree of the dissection (a leaf included) that
+    holds at least ``_SADDLE_MIN_NODES`` of them while every other one lies
+    on a separator enclosing the subtree, or in the whole tree if no subtree
+    does; it follows its last-eliminated neighbour in that subtree.
+    Pressures with the same predecessor keep their index order, so the order
+    is deterministic.  Returns indices into the saddle's rows: velocities
+    ``0..n-1``, then the pressures from ``n`` on.
     """
     b = sp.csr_array(b)
-    velocity_pos = a_factor.elimination_positions()
-    # reduceat misreads empty rows, and an empty row makes the saddle singular
-    if np.any(np.diff(b.indptr) == 0):
+    # an empty row makes the saddle singular (and reduceat misreads it)
+    neighbours = np.diff(b.indptr)
+    if np.any(neighbours == 0):
         raise SingularMatrixError("a pressure dof has no velocity neighbour, "
                                   "so the saddle matrix is singular")
-    pressure_key = np.maximum.reduceat(velocity_pos[b.indices], b.indptr[:-1])
+    # int64 throughout: SuperLU's positions are int32
+    velocity_pos = a_factor.elimination_positions().astype(np.int64)
+    num_nodes = dissection.path.size
+    # one (pressure, node) pair per neighbour node, at its last-eliminated dof
+    pair = (np.repeat(np.arange(b.shape[0], dtype=np.int64), neighbours) * num_nodes
+            + b.indices % num_nodes)
+    pos = velocity_pos[b.indices]
+    by_pair = np.lexsort((pos, pair))
+    pair, pos = pair[by_pair], pos[by_pair]
+    last = np.append(pair[1:] != pair[:-1], True)
+    pair, pos = pair[last], pos[last]
+    pressure, node = np.divmod(pair, num_nodes)
+    path = dissection.path[node]
+    depth = dissection.depth[node]
+    digits = dissection.digits
+    # a node's home is its leaf, or the subtree its separator cuts
+    on_separator = path // 3 ** (digits - depth) % 3 == 2
+    home = depth - on_separator
+    # descend from the root while one child holds every node not on the
+    # separators passed, and at least _SADDLE_MIN_NODES of them
+    inside = np.ones(pair.size, dtype=bool)
+    descending = np.ones(b.shape[0], dtype=bool)
+    for k in range(digits):
+        below = inside & (home > k)
+        child = path // 3 ** (digits - k - 1) % 3
+        left = np.bincount(pressure[below & (child == 0)], minlength=b.shape[0])
+        right = np.bincount(pressure[below & (child == 1)], minlength=b.shape[0])
+        descending &= (np.minimum(left, right) == 0) & (left + right >= _SADDLE_MIN_NODES)
+        if not descending.any():
+            break
+        inside = np.where(descending[pressure], below, inside)
+    starts = np.flatnonzero(np.append(True, pressure[1:] != pressure[:-1]))
+    pressure_key = np.maximum.reduceat(np.where(inside, pos, -1), starts)
     # stable: a velocity precedes the pressures keyed to its position
     return np.argsort(np.concatenate([velocity_pos, pressure_key]), kind="stable")
 

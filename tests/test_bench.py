@@ -92,6 +92,11 @@ def test_json_round_trip(small_result):
     cell = payload["cells"][0]
     assert cell["residual_history"][-1] <= SMALL.tolerance
     assert cell["wall_time"] >= 0.0
+    # one set-up record per (pair, level), with the fill of both factors
+    (setup,) = payload["setups"]
+    assert (setup["pair"], setup["level"]) == ("p2p0", 2)
+    assert setup["fill_a_nnz"] == 3094
+    assert setup["fill_saddle_nnz"] == 4588
 
 
 def test_deterministic_reports(small_result):
@@ -244,6 +249,15 @@ def test_cli_bench_setup_failure(capsys):
     assert captured.err.count("set-up failed") == 5
     assert "singular" in captured.err
     assert "constant-pressure" not in captured.err
+
+
+def test_json_setup_record_of_failed_setup(capsys):
+    code = cli.main(["bench", "--pair", "p2p1", "--levels", "0..0", "--nu", "0.25",
+                     "--format", "json"])
+    assert code == cli.EXIT_SOLVER
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["setups"] == [{"pair": "p2p1", "level": 0,
+                                  "fill_a_nnz": None, "fill_saddle_nnz": None}]
 
 
 def test_cli_verify_inf_sup_failure(monkeypatch, capsys):

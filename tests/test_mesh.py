@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from elastprec.mesh import (_ND_LEAF, MAX_LEVEL, build_uniform_mesh, dump_mesh,
-                            nested_dissection_order)
+                            nested_dissection)
+
+
+def _nd_order(points, h):
+    return nested_dissection(points, h).order
 
 
 @pytest.mark.parametrize("level,nv,nt,ne", [
@@ -114,7 +118,7 @@ def test_nested_dissection_needs_a_mesh_line():
     mesh = build_uniform_mesh(0)
     points = np.vstack([mesh.vertices, mesh.edge_midpoints()])
     with pytest.raises(ValueError, match="no mesh line"):
-        nested_dissection_order(points, mesh.h)
+        nested_dissection(points, mesh.h)
 
 
 def _free_p2_nodes(mesh):
@@ -123,14 +127,20 @@ def _free_p2_nodes(mesh):
     return points[~boundary]
 
 
-def _recursive_nested_dissection(points, h):
-    """Reference: one recursive call per node set, depth first."""
+def _recursive_nested_dissection(points, h, cuts=None):
+    """Reference: one recursive call per node set, depth first.
+
+    Returns the order; given a dict ``cuts``, also fills in each node's list
+    of cut digits (left 0, right 1, separator 2).
+    """
     grid = np.rint(np.asarray(points) * (2.0 / h)).astype(np.int64)
     blocks = []
 
-    def dissect(nodes):
+    def dissect(nodes, path):
         if nodes.size <= _ND_LEAF:
             blocks.append(nodes)
+            if cuts is not None:
+                cuts.update((int(k), path) for k in nodes)
             return
         lo, hi = grid[nodes].min(axis=0), grid[nodes].max(axis=0)
         axis = int(np.argmax(hi - lo))
@@ -138,11 +148,13 @@ def _recursive_nested_dissection(points, h):
         if not lo[axis] < cut < hi[axis]:
             raise ValueError(f"{nodes.size} nodes span no mesh line of spacing {h}")
         coord = grid[nodes, axis]
-        dissect(nodes[coord < cut])
-        dissect(nodes[coord > cut])
+        dissect(nodes[coord < cut], path + [0])
+        dissect(nodes[coord > cut], path + [1])
         blocks.append(nodes[coord == cut])
+        if cuts is not None:
+            cuts.update((int(k), path + [2]) for k in nodes[coord == cut])
 
-    dissect(np.arange(grid.shape[0]))
+    dissect(np.arange(grid.shape[0]), [])
     return np.concatenate(blocks)
 
 
@@ -150,9 +162,27 @@ def _recursive_nested_dissection(points, h):
 def test_nested_dissection_matches_recursive_reference(level):
     mesh = build_uniform_mesh(level)
     points = _free_p2_nodes(mesh)
-    order = nested_dissection_order(points, mesh.h)
+    order = _nd_order(points, mesh.h)
     assert order.dtype == np.int64
     np.testing.assert_array_equal(order, _recursive_nested_dissection(points, mesh.h))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 5])
+def test_nested_dissection_paths_match_recursive_reference(level):
+    mesh = build_uniform_mesh(level)
+    points = _free_p2_nodes(mesh)
+    dissection = nested_dissection(points, mesh.h)
+    cuts = {}
+    _recursive_nested_dissection(points, mesh.h, cuts)
+    depth = np.array([len(cuts[k]) for k in range(points.shape[0])])
+    digits = int(depth.max())
+    assert dissection.digits == digits
+    assert (digits == 0) == (level == 0)  # one free node at L0: a leaf, no cut
+    np.testing.assert_array_equal(dissection.depth, depth)
+    # each path is padded with zeros to the deepest node's length
+    padded = [sum(d * 3 ** (digits - 1 - i) for i, d in enumerate(cuts[k]))
+              for k in range(points.shape[0])]
+    np.testing.assert_array_equal(dissection.path, padded)
 
 
 def _outcome(order_fn, points, h):
@@ -168,7 +198,7 @@ def test_nested_dissection_errors_match_recursive_reference():
     points = np.vstack([mesh.vertices, mesh.edge_midpoints()])
     want = _outcome(_recursive_nested_dissection, points, mesh.h)
     assert want == "9 nodes span no mesh line of spacing 1.0"
-    assert _outcome(nested_dissection_order, points, mesh.h) == want
+    assert _outcome(_nd_order, points, mesh.h) == want
     # repeated half-grid points leave spanless sets at several depths; of
     # those, the one the depth-first reference meets first is named
     rng = np.random.default_rng(3)
@@ -176,7 +206,7 @@ def test_nested_dissection_errors_match_recursive_reference():
     for _ in range(40):
         points = rng.integers(0, 9, size=(rng.integers(20, 200), 2)) * 0.125
         want = _outcome(_recursive_nested_dissection, points, 0.25)
-        assert _outcome(nested_dissection_order, points, 0.25) == want
+        assert _outcome(_nd_order, points, 0.25) == want
         raised += isinstance(want, str)
     assert 0 < raised < 40
 

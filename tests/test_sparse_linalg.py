@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -53,7 +55,8 @@ def test_unpinned_stokes_matrix_is_singular(case_p2p0_l2):
     red = case_p2p0_l2.reduced
     saddle = sp.block_array([[red.A, red.B.T], [red.B, None]], format="csc")
     with pytest.raises(SingularMatrixError):
-        factor_symmetric_indefinite(saddle, saddle_order(case_p2p0_l2.a_factor, red.B))
+        factor_symmetric_indefinite(
+            saddle, saddle_order(case_p2p0_l2.a_factor, red.B, case_p2p0_l2.dissection))
 
 
 def test_saddle_solve_matches_dense_oracle(case_p2p0_l2):
@@ -61,8 +64,8 @@ def test_saddle_solve_matches_dense_oracle(case_p2p0_l2):
     keep = np.arange(red.B.shape[0] - 1)
     saddle = sp.block_array([[red.A, red.B[keep].T], [red.B[keep], None]],
                             format="csc")
-    f = factor_symmetric_indefinite(saddle,
-                                    saddle_order(case_p2p0_l2.a_factor, red.B[keep]))
+    f = factor_symmetric_indefinite(
+        saddle, saddle_order(case_p2p0_l2.a_factor, red.B[keep], case_p2p0_l2.dissection))
     rng = np.random.default_rng(13)
     b = rng.standard_normal(saddle.shape[0])
     x = f.solve(b)
@@ -74,26 +77,104 @@ def test_saddle_solve_matches_dense_oracle(case_p2p0_l2):
         assert np.linalg.norm(saddle @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
+def _node_cuts(dissection, node):
+    """Cut digits of a node (left 0, right 1, separator 2), as a tuple."""
+    digits = dissection.digits
+    return tuple(int(dissection.path[node] // 3 ** (digits - 1 - i) % 3)
+                 for i in range(dissection.depth[node]))
+
+
+def _home(cuts):
+    """The leaf of a node, or the subtree its separator cuts."""
+    return cuts[:-1] if cuts and cuts[-1] == 2 else cuts
+
+
+def _encloses(cuts, subtree):
+    """Whether a node lies on a separator enclosing ``subtree``."""
+    home = _home(cuts)
+    return home != cuts and len(subtree) > len(home) and subtree[:len(home)] == home
+
+
+def _reference_saddle_order(case, b):
+    """The subtree rule, one pressure at a time, as stated.
+
+    Take the smallest subtree that holds every neighbour node except those
+    on separators enclosing it; while it holds fewer than 2 of them, widen
+    it to the subtree of the first-eliminated (deepest) enclosing separator
+    that holds one; follow the last neighbour inside.
+    """
+    m = case.reduced.dim // 2
+    velocity_pos = case.a_factor.elimination_positions()
+    b = sp.csr_array(b)
+    keys = []
+    for q in range(b.shape[0]):
+        dofs = b.indices[b.indptr[q]:b.indptr[q + 1]]
+        cuts = {int(j) % m: _node_cuts(case.dissection, int(j) % m) for j in dofs}
+        homes = {_home(c) for c in cuts.values()}
+        candidates = {h[:k] for h in homes for k in range(len(h) + 1)}
+
+        def inside(subtree):
+            return [k for k, c in cuts.items() if c[:len(subtree)] == subtree
+                    and not _encloses(c, subtree)]
+
+        valid = [t for t in candidates if all(
+            c[:len(t)] == t or _encloses(c, t) for c in cuts.values())]
+        subtree = max(valid, key=len)
+        while len(inside(subtree)) < 2:
+            enclosing = [_home(c) for c in cuts.values() if _encloses(c, subtree)]
+            if not enclosing:
+                break
+            subtree = max(enclosing, key=len)
+        nodes = inside(subtree)
+        keys.append(max(velocity_pos[j] for j in dofs if int(j) % m in nodes))
+    return np.argsort(np.concatenate([velocity_pos, keys]), kind="stable")
+
+
 @pytest.mark.parametrize("fixture", ["case_p2p0_l3", "case_p2p1_l3"])
 def test_saddle_order_respects_velocity_order(fixture, request):
     case = request.getfixturevalue(fixture)
     red = case.reduced
-    n = red.dim
+    n, m = red.dim, red.dim // 2
     b_pinned = red.B[np.arange(red.B.shape[0] - 1)]
-    order = saddle_order(case.a_factor, b_pinned)
+    order = saddle_order(case.a_factor, b_pinned, case.dissection)
     np.testing.assert_array_equal(np.sort(order), np.arange(n + b_pinned.shape[0]))
     # velocities in the order the factorization of A eliminates them
     velocities = order[order < n]
     np.testing.assert_array_equal(case.a_factor.elimination_positions()[velocities],
                                   np.arange(n))
-    # every pressure after all of its velocity neighbours
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
     b_csr = sp.csr_array(b_pinned)
     for q in range(b_csr.shape[0]):
         neighbours = b_csr.indices[b_csr.indptr[q]:b_csr.indptr[q + 1]]
         assert neighbours.size > 0
-        assert position[n + q] > position[neighbours].max()
+        before = {int(j) % m for j in neighbours if position[j] < position[n + q]}
+        after = {int(j) % m for j in neighbours if position[j] > position[n + q]}
+        # after at least 2 neighbour nodes (a cell in a corner of the domain
+        # has only one free node), and right after one of them
+        assert len(before - after) >= min(2, len(before | after))
+        previous = order[:position[n + q]]
+        assert previous[previous < n][-1] in neighbours
+        # a neighbour eliminated later lies on a separator enclosing the
+        # smallest subtree of those eliminated earlier
+        common = os.path.commonprefix([_node_cuts(case.dissection, k) for k in before])
+        for k in after:
+            assert _encloses(_node_cuts(case.dissection, k), common)
+    np.testing.assert_array_equal(order, _reference_saddle_order(case, b_pinned))
+
+
+def test_saddle_order_rejects_pressure_without_neighbour(case_p2p0_l2):
+    red = case_p2p0_l2.reduced
+    b = sp.vstack([red.B, sp.csr_array((1, red.dim))])
+    with pytest.raises(SingularMatrixError, match="no velocity neighbour"):
+        saddle_order(case_p2p0_l2.a_factor, b, case_p2p0_l2.dissection)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("pair", ["p2p0", "p2p1"])
+def test_saddle_factor_swaps_no_row(pair, level):
+    lu = prepare_case(level, pair).projector.factorization._lu
+    np.testing.assert_array_equal(lu.perm_r, np.arange(lu.shape[0]))
 
 
 def test_ordered_solve_of_column_block(case_p2p1_l2):
@@ -107,11 +188,11 @@ def test_ordered_solve_of_column_block(case_p2p1_l2):
 
 @pytest.mark.parametrize("pair", ["p2p0", "p2p1"])
 def test_saddle_fill_guard_l5(pair):
-    # the constrained order keeps the saddle factor within 2.5x the fill of A
-    # (measured 2.26 for P2-P0 and 1.88 for P2-P1 at L5)
+    # the constrained order keeps the saddle factor within 1.7x the fill of A
+    # (measured 1.25 for P2-P0 and 1.50 for P2-P1 at L5)
     case = prepare_case(5, pair)
     ratio = case.projector.factorization._lu.nnz / case.a_factor._lu.nnz
-    assert ratio <= 2.5, ratio
+    assert ratio <= 1.7, ratio
 
 
 @pytest.mark.parametrize("level", [3, 4])
@@ -136,10 +217,15 @@ def test_nested_dissection_order_of_a(level):
                                                   ("p2p1", 1_636_350)])
 def test_nested_dissection_fill_guard_l5(pair, saddle_mmd_fill):
     # nnz(L+U) in the minimum-degree order of A and the saddle order
-    # derived from it; nested dissection measured 0.80M, 1.72M and 1.47M
+    # derived from it, and of the saddle in the nested-dissection order with
+    # each pressure after its last velocity neighbour; nested dissection with
+    # each pressure inside its subtree measured 0.80M, 0.995M and 1.19M
+    last_neighbour_fill = {"p2p0": 1_716_740, "p2p1": 1_465_086}[pair]
     case = prepare_case(5, pair)
     assert case.a_factor._lu.nnz < 871_358
-    assert case.projector.factorization._lu.nnz < saddle_mmd_fill
+    saddle_fill = case.projector.factorization._lu.nnz
+    assert saddle_fill < saddle_mmd_fill
+    assert saddle_fill < last_neighbour_fill
 
 
 def test_generalized_eigs_identity_mass():
