@@ -34,7 +34,7 @@ print(emit_report(result, "markdown"))
 # stays bounded in $\nu$ too, but with much larger constants, because the
 # continuous-pressure projection is applied through the diagonal of the
 # pressure mass matrix: at $\nu = 0.4999$ it prints condition numbers
-# 10.47 (L2) and 13.72 (L3), against 2.32 and 2.52 for P2-P0.
+# 10.47 (L2) and 13.73 (L3), against 2.32 and 2.52 for P2-P0.
 
 # %%
 th = ExperimentConfig(pairs=("p2p1",), levels=(2, 3),

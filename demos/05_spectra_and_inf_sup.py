@@ -18,7 +18,8 @@
 # %%
 import numpy as np
 
-from elastprec.bench import poisson_to_lambda, prepare_case
+from elastprec.bench import (poisson_to_lambda, prepare_case,
+                             sharpened_condition_estimate)
 from elastprec.solver import (dense_preconditioned_spectrum, measure_inf_sup,
                               verify_norm_equivalence)
 
@@ -28,20 +29,24 @@ for nu in (0.25, 0.49, 0.4999):
     lam = poisson_to_lambda(nu)
     spec = dense_preconditioned_spectrum(red, lam, case.a_factor, case.projector)
     print(f"nu = {nu:6}: spectrum [{spec[0]:.4f}, {spec[-1]:.4f}], "
-          f"condition {spec[-1] / spec[0]:.3f}")
+          f"condition {spec[-1] / spec[0]:.3f}, closed form "
+          f"{sharpened_condition_estimate(case, lam):.3f}")
 
 # %% [markdown]
-# The inf-sup constant comes from the generalized eigenvalue problem
-# $B A^{-1} B^T q = \theta M_Q q$ (the zero eigenvalue of the constant
-# pressure is dropped): $\beta_h = \sqrt{\theta_{\min}}$, and
-# $\theta_{\max} \le d = 2$ mirrors the bound
-# $\|\mathrm{div}\, v\| \le \sqrt{2}\, \|\varepsilon(v)\|$.
+# The closed form is exact: off the divergence-free fields, where
+# $M_\lambda A_\lambda = I$, the spectrum is $(1 + \lambda\theta)/(1 + \lambda)$
+# over the nonzero eigenvalues $\theta$ of $B A^{-1} B^T q = \theta \Pi^{-1} q$.
+# With $\Pi^{-1} = M_Q$ the same pencil gives the inf-sup constant
+# $\beta_h = \sqrt{\theta_{\min}}$ (the zero eigenvalue of the constant
+# pressure is skipped), and $\theta_{\max} \le 1$ mirrors the bound
+# $\|\mathrm{div}\, v\| \le \|\varepsilon(v)\|$ on $H^1_0$.  Both ends
+# come from Lanczos runs on the pencil, not from a dense eigensolve.
 
 # %%
 for pair in ("p2p0", "p2p1"):
     for level in (2, 3):
         c = prepare_case(level, pair)
-        r = measure_inf_sup(c.reduced.A, c.reduced.B, c.reduced.MQ)
+        r = measure_inf_sup(c.reduced, c.a_factor)
         print(f"{pair} L={level}: beta_h = {r.beta_h:.4f}, "
               f"theta_max = {r.theta_max:.6f}")
 
@@ -52,7 +57,7 @@ for pair in ("p2p0", "p2p1"):
 # numbers above independent of $\lambda$.
 
 # %%
-beta = measure_inf_sup(red.A, red.B, red.MQ).beta_h
+beta = measure_inf_sup(red, case.a_factor).beta_h
 rng = np.random.default_rng(7)
 ratios = []
 for _ in range(200):

@@ -15,18 +15,18 @@ from .fem import (AssembledSystem, DofSpace, ManufacturedProblem,
                   assemble_pressure_mass, assemble_system, build_space,
                   compute_errors, interpolate)
 from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,
-                            dense_symmetric_generalized_eigs, factor_spd,
-                            factor_symmetric_indefinite, saddle_order,
-                            tridiagonal_eigs)
+                            factor_spd, factor_symmetric_indefinite,
+                            saddle_order)
 from .solver import (InfSupReport, NormEquivalenceError, PcgConvergenceError,
                      Preconditioner, SolveReport, SpectrumError, StokesProjector,
                      build_projector,
                      dense_preconditioned_spectrum, dense_preconditioner_matrix,
-                     estimate_condition, measure_inf_sup, pcg_solve,
-                     sharpened_condition_estimate, verify_norm_equivalence)
+                     measure_inf_sup, pcg_solve, schur_pencil_eigenvalue,
+                     verify_norm_equivalence)
 from .bench import (BenchCell, BenchResult, ExperimentConfig, PreparedCase,
                     emit_report, poisson_to_lambda, prepare_case,
-                    run_table_experiment, run_verification_suite, solve_cell)
+                    run_table_experiment, run_verification_suite,
+                    sharpened_condition_estimate, solve_cell)
 from . import fourier
 
 __all__ = [name for name in dir() if not name.startswith("_")]

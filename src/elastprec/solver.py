@@ -9,6 +9,9 @@ divergence-free fields.  ``P A^{-1} g`` is exactly the velocity block of one
 Stokes saddle solve with momentum data ``g``, so the whole preconditioner is
 independent of ``lam`` up to the two scalar weights: one stiffness
 factorization and one saddle factorization serve every material parameter.
+The same holds for its spectrum: ``1`` on the divergence-free fields and
+``(1 + lam theta) / (1 + lam)`` elsewhere, with theta over the nonzero
+eigenvalues of the lam-free pencil of ``schur_pencil_eigenvalue``.
 """
 
 from __future__ import annotations
@@ -18,24 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .fem import ReducedSystem
 from .mesh import NestedDissection
-from .sparse_linalg import (_DENSE_LIMIT, Factorization,
-                            dense_symmetric_generalized_eigs, factor_spd,
-                            factor_symmetric_indefinite, saddle_order,
-                            tridiagonal_eigs)
+from .sparse_linalg import (Factorization, factor_symmetric_indefinite,
+                            saddle_order)
 
-# Relative residual below which a Krylov run has hit the noise floor.
-_BREAKDOWN_RTOL = 1e-15
+# Relative residual of the Ritz pair at which a Schur-pencil run stops, and
+# the seed of its standard normal start vector (so reruns repeat bit for bit).
+_PENCIL_TOL = 1e-8
+_PENCIL_SEED = 0
 
-# Every condition estimate comes from one forced PCG run of at most
-# _CONDEST_ITERATIONS steps, started from a standard normal vector drawn
-# with _CONDEST_SEED.  On the default bench table (L2-L5) 22 steps stay
-# within 0.06% of a 60-step run, and a 60-step run equals the dense spectrum
-# at L2-L4.
-_CONDEST_ITERATIONS = 22
-_CONDEST_SEED = 0
+# Largest dimension the dense preconditioner diagnostics accept.
+_DENSE_LIMIT = 2200
 
 
 class PcgConvergenceError(RuntimeError):
@@ -47,8 +46,8 @@ class PcgConvergenceError(RuntimeError):
 
 
 class SpectrumError(ValueError):
-    """A spectrum that must be positive is not: the Lanczos matrix of a PCG
-    run, or the Schur complement behind the inf-sup constant."""
+    """The Schur pencil behind the condition numbers and the inf-sup
+    constant has no positive spectrum, or its eigensolve did not converge."""
 
 
 class NormEquivalenceError(AssertionError):
@@ -61,8 +60,6 @@ class SolveReport:
 
     iterations: int
     residual_history: np.ndarray
-    lanczos_diag: np.ndarray
-    lanczos_offdiag: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,8 @@ class Preconditioner:
 
 
 def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
-              max_iterations: int = 500, force_iterations: int | None = None):
-    """Preconditioned conjugate gradients with Lanczos bookkeeping.
+              max_iterations: int = 500):
+    """Preconditioned conjugate gradients.
 
     The iteration stops on the true relative residual ``||b - A x|| / ||b||``,
     recomputed every step.
@@ -172,12 +169,6 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     preconditioner : Preconditioner or None
     tol : float
         Relative residual tolerance.
-    force_iterations : int, optional
-        Run exactly this many iterations (stopping only at the round-off
-        floor), regardless of the tolerance.  Used to sharpen spectrum
-        estimates.  A forced run re-orthogonalizes each residual against
-        all previous ones, which keeps the Lanczos recurrence faithful past
-        convergence.
 
     Returns
     -------
@@ -186,9 +177,9 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     Raises
     ------
     PcgConvergenceError
-        If the iteration cap is hit before the tolerance (tolerance-driven
-        runs only), if ``p'Ap`` is not positive, or at the first step whose
-        ``p'Ap``, ``r'z`` or residual is not finite (forced runs too).
+        If the iteration cap is hit before the tolerance, if ``p'Ap`` is not
+        positive, or at the first step whose ``p'Ap``, ``r'z`` or residual
+        is not finite.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
@@ -198,27 +189,19 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     norm_b = np.linalg.norm(rhs)
     x = np.zeros_like(rhs)
     if norm_b == 0.0:
-        return x, SolveReport(0, np.array([0.0]), np.array([]), np.array([]))
+        return x, SolveReport(0, np.array([0.0]))
 
     history = [1.0]
-    alphas: list[float] = []
-    betas: list[float] = []
 
     def failure(message):
-        return PcgConvergenceError(message, SolveReport(
-            len(alphas), np.array(history), *_lanczos(alphas, betas)))
+        return PcgConvergenceError(message, SolveReport(len(history) - 1,
+                                                        np.array(history)))
 
     r = rhs.copy()
     z = apply_m(r)
     rz = float(r @ z)
     p = z.copy()
-
-    forced = force_iterations is not None
-    # (r, z, r'z) of every step so far; kept by forced runs only
-    basis = [(r.copy(), z.copy(), rz)] if forced else None
-
-    target = force_iterations if forced else max_iterations
-    target = min(target, rhs.size)
+    target = min(max_iterations, rhs.size)
 
     for k in range(target):
         ap = op(p)
@@ -230,15 +213,8 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        alphas.append(alpha)
 
         z = apply_m(r)
-        if forced:
-            for _ in range(2):
-                for r_j, z_j, rz_j in basis:
-                    c = float(z_j @ r) / rz_j
-                    r -= c * r_j
-                    z -= c * z_j
         rz_next = float(r @ z)
 
         res = float(np.linalg.norm(rhs - op(x)) / norm_b)
@@ -246,77 +222,80 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         if not (math.isfinite(rz_next) and math.isfinite(res)):
             raise failure(f"non-finite value at PCG step {k + 1} "
                           f"(r'z = {rz_next:.3e}, residual {res:.3e})")
-
-        if ((not forced and res <= tol) or res <= _BREAKDOWN_RTOL
-                or rz_next <= 0.0 or k + 1 == target):
+        if res <= tol or rz_next <= 0.0:
             break
 
-        beta = rz_next / rz
-        betas.append(beta)
+        p = z + (rz_next / rz) * p
         rz = rz_next
-        p = z + beta * p
-        if forced:
-            basis.append((r.copy(), z.copy(), rz))
 
-    if not forced and not history[-1] <= tol:
+    if not history[-1] <= tol:
         raise failure(f"PCG did not reach tolerance {tol:g} within {target} iterations "
                       f"(last relative residual {history[-1]:.3e})")
-    return x, SolveReport(len(alphas), np.array(history), *_lanczos(alphas, betas))
+    return x, SolveReport(len(history) - 1, np.array(history))
 
 
-def _lanczos(alphas, betas):
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas[: alphas.size - 1], dtype=float)
-    diag = 1.0 / alphas
-    diag[1:] += betas / alphas[:-1]
-    return diag, np.sqrt(betas) / alphas[:-1]
+def schur_pencil_eigenvalue(reduced: ReducedSystem, a_factor: Factorization,
+                            projection: str = "exact",
+                            largest: bool = False) -> float:
+    """Extreme nonzero eigenvalue of the pencil ``B A^{-1} B^T q = theta W q``.
 
+    ``W`` is the inverse of the pressure projection ``Pi`` of ``projection``:
+    ``MQ`` for ``"exact"``, ``D = diag(MQ)`` for ``"diagonal"``.  ``A^{-1}``
+    is applied through ``a_factor``, the factor of ``reduced.A``, and
+    ``W^{-1}`` the way ``Pi`` is.  ARPACK's symmetric eigensolver
+    (``eigsh``) works in the ``W`` inner product from a seeded start vector
+    to relative residual ``_PENCIL_TOL``, one ``A`` solve per step.
 
-def estimate_condition(report: SolveReport) -> float:
-    """Extreme-eigenvalue ratio of the Lanczos matrix of a PCG run."""
-    if report.lanczos_diag.size == 0:
-        raise ValueError("report holds no Lanczos data (zero iterations?)")
-    vals = tridiagonal_eigs(report.lanczos_diag, report.lanczos_offdiag)
-    if not vals[0] > 0.0:
-        raise SpectrumError(f"Lanczos matrix is not positive definite ({vals[0]:.3e})")
-    return float(vals[-1] / vals[0])
+    ``B^T 1 = 0``, so the constant pressure is an eigenvector with theta 0.
+    The largest-end run leaves it there.  The smallest-end run moves it to
+    the Rayleigh quotient of the start vector's nonconstant part, which lies
+    inside the nonzero spectrum, by adding ``sigma W 1 (W 1)^T / 1^T W 1``.
 
-
-def sharpened_condition_estimate(op, rhs, preconditioner) -> float:
-    """Condition estimate of the preconditioned operator.
-
-    Runs PCG for up to ``_CONDEST_ITERATIONS`` re-orthogonalized steps from
-    a seeded random vector of the size of ``rhs`` and reads the estimate off
-    its Lanczos matrix.  The random start excites every eigenvector; a
-    smooth right-hand side can miss whole classes of them.
+    Raises ``SpectrumError`` if the run does not converge or the value is
+    not positive (an unstable pair).
     """
-    start = np.random.default_rng(_CONDEST_SEED).standard_normal(np.size(rhs))
-    _, forced = pcg_solve(op, start, preconditioner,
-                          force_iterations=_CONDEST_ITERATIONS)
-    return estimate_condition(forced)
+    w = reduced.MQ if projection == "exact" else sp.diags_array(reduced.D)
+    n = w.shape[0]
+    w_one = w @ np.ones(n)
+    mass = float(w_one.sum())
+
+    def schur(q):
+        return reduced.B @ a_factor.solve(reduced.BT @ q)
+
+    start = np.random.default_rng(_PENCIL_SEED).standard_normal(n)
+    if largest:
+        shift = 0.0
+    else:
+        v = start - (w_one @ start) / mass
+        shift = float(v @ schur(v)) / float(v @ (w @ v))
+    op = LinearOperator((n, n), dtype=float, matvec=lambda q: (
+        schur(q) + shift * (w_one @ q) / mass * w_one))
+    w_inverse = LinearOperator((n, n), dtype=float, matvec=lambda q: (
+        reduced.pressure_projection_apply(q, projection)))
+    which = "LA" if largest else "SA"
+    try:
+        theta = float(eigsh(op, k=1, M=w, Minv=w_inverse, which=which, v0=start,
+                            tol=_PENCIL_TOL, return_eigenvectors=False)[0])
+    except ArpackNoConvergence as exc:
+        raise SpectrumError(f"Schur pencil ({projection} projection, {which}) "
+                            f"did not converge: {exc}") from exc
+    if not theta > 0.0:
+        raise SpectrumError(f"Schur pencil has a nonpositive eigenvalue "
+                            f"{theta:.3e}; the pair is unstable")
+    return theta
 
 
-def measure_inf_sup(A, B, MQ) -> InfSupReport:
-    """Inf-sup constant of a velocity/pressure pair by dense eigensolve.
+def measure_inf_sup(reduced: ReducedSystem, a_factor: Factorization) -> InfSupReport:
+    """Inf-sup constant of the velocity/pressure pair of ``reduced``.
 
-    Solves ``B A^{-1} B^T q = theta MQ q``; the inf-sup constant is the
-    square root of the smallest eigenvalue after dropping the
-    constant-pressure mode (theta ~ 0 under pure Dirichlet conditions).
+    ``beta_h`` is the square root of the smallest nonzero eigenvalue of
+    ``B A^{-1} B^T q = theta MQ q``, ``theta_max`` its largest; ``a_factor``
+    is the factor of ``reduced.A``.
     """
-    n = A.shape[0]
-    if n > _DENSE_LIMIT:
-        raise ValueError(
-            f"inf-sup measurement uses a dense path limited to {_DENSE_LIMIT} "
-            f"velocity dofs, got {n}")
-    schur = B @ factor_spd(A).solve(B.T.toarray())
-    schur = 0.5 * (schur + schur.T)
-    vals = dense_symmetric_generalized_eigs(schur, MQ.toarray())
-
-    # drop the constant-pressure nullspace mode when present
-    start = 1 if vals[0] < 1e-6 * max(vals[-1], 1.0) else 0
-    if not vals[start] > 0.0:
-        raise SpectrumError("inf-sup constant is not positive; pair is unstable")
-    return InfSupReport(beta_h=float(np.sqrt(vals[start])), theta_max=float(vals[-1]))
+    theta_min = schur_pencil_eigenvalue(reduced, a_factor)
+    return InfSupReport(beta_h=float(np.sqrt(theta_min)),
+                        theta_max=schur_pencil_eigenvalue(reduced, a_factor,
+                                                          largest=True))
 
 
 def verify_norm_equivalence(reduced: ReducedSystem, projector: StokesProjector,

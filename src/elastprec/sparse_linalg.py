@@ -1,4 +1,4 @@
-"""Direct sparse factorizations and small dense eigenvalue utilities.
+"""Direct sparse factorizations.
 
 Factorizations wrap SuperLU in symmetric mode and share one body; they
 differ only in the pivot threshold and the pivot check.  The SPD path
@@ -23,15 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .mesh import NestedDissection
-
-# Largest matrix dimension the dense diagnostics (eigensolves, dense
-# preconditioner matrices) accept.
-_DENSE_LIMIT = 2200
 
 # Relative pivot threshold below which an "indefinite" factorization is
 # declared numerically singular.
@@ -223,30 +218,3 @@ def factor_symmetric_indefinite(matrix, order) -> Factorization:
             f"{np.min(np.abs(pivots)):.3e} vs largest {largest:.3e}"
         )
     return factor
-
-
-def dense_symmetric_generalized_eigs(K, M) -> np.ndarray:
-    """All eigenvalues of ``K x = theta M x`` with ``M`` SPD, ascending."""
-    K = np.asarray(K, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if K.shape[0] > _DENSE_LIMIT:
-        raise ValueError(f"dense eigensolve limited to {_DENSE_LIMIT} rows, got {K.shape[0]}")
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("mass matrix of the generalized problem is not SPD") from exc
-    return scipy.linalg.eigh(K, M, eigvals_only=True)
-
-
-def tridiagonal_eigs(diag, offdiag) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix, ascending."""
-    diag = np.asarray(diag, dtype=float)
-    offdiag = np.asarray(offdiag, dtype=float)
-    if diag.size == 0:
-        raise ValueError("empty tridiagonal data")
-    if offdiag.size != diag.size - 1:
-        raise ValueError(
-            f"offdiagonal length {offdiag.size} does not match diagonal length {diag.size}"
-        )
-    return scipy.linalg.eigh_tridiagonal(diag, offdiag, eigvals_only=True)
-

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from elastprec import fourier
-from elastprec.bench import poisson_to_lambda, prepare_case, solve_cell
+from elastprec.bench import (poisson_to_lambda, prepare_case,
+                             sharpened_condition_estimate, solve_cell)
 from elastprec.solver import (dense_preconditioned_spectrum, measure_inf_sup,
-                              pcg_solve, sharpened_condition_estimate)
+                              pcg_solve)
 from elastprec.sparse_linalg import factor_spd
 
 NUS = (0.25, 0.4, 0.49, 0.499, 0.4999)
@@ -88,15 +89,13 @@ def test_criterion_2_p2p0_condition(table_p2p0):
         for nu, expected in zip(NUS, row):
             got = cells[(level, nu)].condition
             worst = max(worst, abs(got - expected) / expected)
-    # dense eigensolve cross-check against the Lanczos estimate
+    # dense eigensolve cross-check against the Schur-pencil closed form
     worst_cross = 0.0
     for level in (2, 3):
         case = prepare_case(level, "p2p0")
         for nu in NUS:
             lam = poisson_to_lambda(nu)
-            rhs = case.rhs(lam)
-            est = sharpened_condition_estimate(case.operator(lam), rhs,
-                                               case.preconditioner(lam))
+            est = sharpened_condition_estimate(case, lam)
             spec = dense_preconditioned_spectrum(case.reduced, lam,
                                                  case.a_factor, case.projector)
             dense = spec[-1] / spec[0]
@@ -104,7 +103,7 @@ def test_criterion_2_p2p0_condition(table_p2p0):
     ok = worst <= 0.20 and worst_cross <= 0.05
     _report(2, "condition numbers, piecewise-constant pressure", ok,
             f"max table deviation {worst:.1%} (allowed 20%), "
-            f"max dense/Lanczos gap {worst_cross:.2%} (allowed 5%)")
+            f"max dense/pencil gap {worst_cross:.2%} (allowed 5%)")
 
 
 def test_criterion_3a_p2p1_iterations(table_p2p1):
@@ -155,11 +154,8 @@ def test_criterion_4_lambda_robustness():
     details = []
     for pair in ("p2p0", "p2p1"):
         case = prepare_case(3, pair)
-        conds = {}
-        for lam in (1.0, 1e2, 1e4, 1e6):
-            rhs = case.rhs(lam)
-            conds[lam] = sharpened_condition_estimate(
-                case.operator(lam), rhs, case.preconditioner(lam))
+        conds = {lam: sharpened_condition_estimate(case, lam)
+                 for lam in (1.0, 1e2, 1e4, 1e6)}
         rel = abs(conds[1e4] - conds[1e6]) / conds[1e6]
         worst = max(worst, rel)
         details.append(f"{pair}: {rel:.2%}")
@@ -174,8 +170,7 @@ def test_criterion_5_exact_limits():
     rhs = case.rhs(0.0)
     x, report = pcg_solve(case.operator(0.0), rhs, case.preconditioner(0.0),
                           tol=1e-6)
-    cond = sharpened_condition_estimate(case.operator(0.0), rhs,
-                                        case.preconditioner(0.0))
+    cond = sharpened_condition_estimate(case, 0.0)
     one_step = report.iterations == 1 and abs(cond - 1.0) <= 1e-6
 
     # mode-space convex combination over 1000 random modes
@@ -241,7 +236,7 @@ def test_criterion_7_norm_equivalence():
         for level in (2, 3):
             case = prepare_case(level, pair)
             red = case.reduced
-            beta = measure_inf_sup(red.A, red.B, red.MQ).beta_h
+            beta = measure_inf_sup(red, case.a_factor).beta_h
             mq_factor = factor_spd(red.MQ)
             ratios = []
             for _ in range(50):

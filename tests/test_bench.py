@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from elastprec.bench import (ExperimentConfig, emit_report, poisson_to_lambda,
                              run_table_experiment, run_verification_suite)
@@ -97,6 +98,17 @@ def test_json_round_trip(small_result):
     assert (setup["pair"], setup["level"]) == ("p2p0", 2)
     assert setup["fill_a_nnz"] == 3094
     assert setup["fill_saddle_nnz"] == 4588
+    # P0 mass is diagonal, so Pi is the L2 projection and theta_max its bound
+    assert setup["theta_min"] == pytest.approx(0.4305595181, rel=1e-9)
+    assert setup["theta_max"] == 1.0
+
+
+def test_json_theta_max_of_diagonal_p1_projection():
+    config = ExperimentConfig(pairs=("p2p1",), levels=(2,), nu_values=(0.4999,))
+    payload = json.loads(emit_report(run_table_experiment(config), "json"))
+    (setup,) = payload["setups"]
+    assert setup["theta_min"] == pytest.approx(0.1275802308, rel=1e-9)
+    assert setup["theta_max"] == pytest.approx(1.3397079942, rel=1e-9)
 
 
 def test_deterministic_reports(small_result):
@@ -229,15 +241,47 @@ def test_cli_bench_defaults_are_experiment_defaults(monkeypatch):
 
 
 def test_cli_bench_condition_estimate_failure(monkeypatch, capsys):
-    def indefinite(report):
-        raise SpectrumError("forced indefinite Lanczos matrix")
+    def unstable(*args, **kwargs):
+        raise SpectrumError("forced unstable pencil")
 
-    monkeypatch.setattr(solver, "estimate_condition", indefinite)
+    monkeypatch.setattr(bench, "schur_pencil_eigenvalue", unstable)
     code = cli.main(["bench", "--pair", "p2p0", "--levels", "2", "--nu", "0.25"])
     assert code == cli.EXIT_SOLVER
     captured = capsys.readouterr()
     assert "| L = 2 | failed |" in captured.out
-    assert "forced indefinite Lanczos matrix" in captured.err
+    assert "forced unstable pencil" in captured.err
+
+
+def _no_convergence(*args, **kwargs):
+    raise ArpackNoConvergence("forced stall", np.array([]), np.array([]))
+
+
+def test_cli_bench_pencil_no_convergence(monkeypatch, capsys):
+    monkeypatch.setattr(solver, "eigsh", _no_convergence)
+    code = cli.main(["bench", "--pair", "p2p0", "--levels", "2", "--nu", "0.25",
+                     "--format", "json"])
+    assert code == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["cells"][0]["error"].startswith("Schur pencil")
+    assert payload["setups"][0]["theta_min"] is None
+    assert "did not converge" in captured.err and "forced stall" in captured.err
+
+
+def test_pencil_nonpositive_eigenvalue_raises(monkeypatch, case_p2p0_l2):
+    monkeypatch.setattr(solver, "eigsh", lambda *args, **kwargs: np.array([0.0]))
+    with pytest.raises(SpectrumError, match="nonpositive"):
+        solver.schur_pencil_eigenvalue(case_p2p0_l2.reduced, case_p2p0_l2.a_factor)
+
+
+def test_cli_verify_pencil_failure(monkeypatch, capsys):
+    monkeypatch.setattr(solver, "eigsh", _no_convergence)
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY
+    failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["FAIL norm-equivalence", "FAIL inf-sup",
+                      "FAIL dense-spectrum-cross-check", "FAIL lambda-zero-exact",
+                      "FAIL lambda-uniformity"]
 
 
 def test_cli_bench_setup_failure(capsys):
@@ -257,11 +301,12 @@ def test_json_setup_record_of_failed_setup(capsys):
     assert code == cli.EXIT_SOLVER
     payload = json.loads(capsys.readouterr().out)
     assert payload["setups"] == [{"pair": "p2p1", "level": 0,
-                                  "fill_a_nnz": None, "fill_saddle_nnz": None}]
+                                  "fill_a_nnz": None, "fill_saddle_nnz": None,
+                                  "theta_min": None, "theta_max": None}]
 
 
 def test_cli_verify_inf_sup_failure(monkeypatch, capsys):
-    def unstable(A, B, MQ):
+    def unstable(reduced, a_factor):
         raise SpectrumError("forced unstable pair")
 
     monkeypatch.setattr(bench, "measure_inf_sup", unstable)

@@ -6,9 +6,8 @@ import scipy.sparse as sp
 
 from elastprec.bench import prepare_case
 from elastprec.sparse_linalg import (NotSpdError, SingularMatrixError,
-                                     dense_symmetric_generalized_eigs,
                                      factor_spd, factor_symmetric_indefinite,
-                                     saddle_order, tridiagonal_eigs)
+                                     saddle_order)
 
 
 def test_spd_identity():
@@ -226,64 +225,6 @@ def test_nested_dissection_fill_guard_l5(pair, saddle_mmd_fill):
     saddle_fill = case.projector.factorization._lu.nnz
     assert saddle_fill < saddle_mmd_fill
     assert saddle_fill < last_neighbour_fill
-
-
-def test_generalized_eigs_identity_mass():
-    vals = dense_symmetric_generalized_eigs(np.diag([1.0, 4.0]), np.eye(2))
-    np.testing.assert_allclose(vals, [1.0, 4.0])
-
-
-def test_generalized_eigs_equal_matrices():
-    K = np.array([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(dense_symmetric_generalized_eigs(K, K), [1.0, 1.0])
-
-
-def test_generalized_eigs_diagonal_pair():
-    vals = dense_symmetric_generalized_eigs(np.diag([2.0, 6.0]), np.diag([2.0, 2.0]))
-    np.testing.assert_allclose(vals, [1.0, 3.0])
-
-
-def test_generalized_eigs_requires_spd_mass():
-    with pytest.raises(NotSpdError):
-        dense_symmetric_generalized_eigs(np.eye(2), np.diag([1.0, -1.0]))
-
-
-def test_generalized_eigs_residual():
-    rng = np.random.default_rng(14)
-    n = 40
-    K = rng.standard_normal((n, n))
-    K = K + K.T
-    M = rng.standard_normal((n, n))
-    M = M @ M.T + n * np.eye(n)
-    vals = dense_symmetric_generalized_eigs(K, M)
-    import scipy.linalg
-
-    full_vals, vecs = scipy.linalg.eigh(K, M)
-    np.testing.assert_allclose(vals, full_vals)
-    for k in (0, n // 2, n - 1):
-        r = K @ vecs[:, k] - full_vals[k] * (M @ vecs[:, k])
-        assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(K)
-
-
-def test_tridiagonal_single_entry():
-    np.testing.assert_allclose(tridiagonal_eigs([2.0], []), [2.0])
-
-
-def test_tridiagonal_2x2():
-    np.testing.assert_allclose(tridiagonal_eigs([2.0, 2.0], [1.0]), [1.0, 3.0])
-
-
-def test_tridiagonal_known_3x3():
-    a, b = 5.0, 2.0
-    vals = tridiagonal_eigs([a, a, a], [b, b])
-    np.testing.assert_allclose(vals, [a - b * np.sqrt(2), a, a + b * np.sqrt(2)])
-
-
-def test_tridiagonal_validation():
-    with pytest.raises(ValueError, match="empty"):
-        tridiagonal_eigs([], [])
-    with pytest.raises(ValueError, match="length"):
-        tridiagonal_eigs([1.0, 2.0], [1.0, 1.0])
 
 
 def test_factorization_deterministic(case_p2p0_l2):
