@@ -80,6 +80,19 @@ class DofSpace:
     dof_points: np.ndarray
     dirichlet_mask: np.ndarray | None = None
 
+    @cached_property
+    def _error_quadrature(self):
+        """Degree-6 rule data of the mesh, computed on first use and kept.
+
+        Per cell: the scaled weights ``(nt, nq)`` and the inverse-transpose
+        Jacobian ``(nt, 2, 2)``; and the physical rule points, flattened
+        to ``(nt * nq, 2)``.  Nothing here depends on a problem.
+        """
+        rule = RULE_DEGREE6
+        p0, jac, det, inv_t = _geometry(self.mesh)
+        points = _physical_points(p0, jac, rule).reshape(-1, 2)
+        return _scaled_weights(rule, det), inv_t, points
+
 
 def build_space(mesh: Mesh, kind: str) -> DofSpace:
     """Build a dof space of the given kind ("p0", "p1" or "p2v")."""
@@ -203,6 +216,11 @@ def _scaled_weights(rule: TriangleRule, det: np.ndarray) -> np.ndarray:
     return rule.weights[None, :] * det[:, None]
 
 
+def _physical_points(p0: np.ndarray, jac: np.ndarray, rule: TriangleRule) -> np.ndarray:
+    """Rule points mapped into every cell, shape (nt, nq, 2)."""
+    return p0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+
+
 def _scatter(vals, rows, cols, shape) -> sp.csr_array:
     # tocsr() sums duplicates and sorts the indices
     return sp.coo_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
@@ -304,7 +322,7 @@ def assemble_load(problem: ManufacturedProblem, V: DofSpace) -> np.ndarray:
     rule = RULE_DEGREE6
     p0, jac, det, _ = _geometry(V.mesh)
     w = _scaled_weights(rule, det)
-    phys = p0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+    phys = _physical_points(p0, jac, rule)
     f = problem.body_force(phys.reshape(-1, 2)).reshape(V.mesh.num_cells, rule.num_points, 2)
     phi = p2_values(rule.points)
 
@@ -469,32 +487,28 @@ def compute_errors(u_coeffs: np.ndarray, problem: ManufacturedProblem,
     """L2 and H1-seminorm errors of a coefficient vector (lift included).
 
     Both integrals use the degree-6 rule; returns ``(l2, h1_seminorm)``.
+    The cell coefficients meet the reference P2 values and gradients in
+    one matmul each, and each cell maps its reference gradients with its
+    own inverse-transpose Jacobian.  The mesh data is cached on ``V``; the
+    exact field is evaluated per call, since it belongs to ``problem``.
     """
     if V.kind != "p2v":
         raise ValueError("error evaluation requires the quadratic vector space")
     rule = RULE_DEGREE6
-    p0, jac = _jacobians(V.mesh)
-    grads, det = _physical_grads(jac, rule)
-    w = _scaled_weights(rule, det)
-    phi = p2_values(rule.points)
+    w, inv_t, points = V._error_quadrature
+    nt, nq = w.shape
+    # block-diagonal in the component: row (c, i) of a cell's 12 dofs feeds
+    # column (q, c), and column (q, c, b) for the reference derivative b
+    eye = np.eye(2)
+    values = np.einsum("qi,cd->ciqd", p2_values(rule.points), eye).reshape(12, 2 * nq)
+    grads = np.einsum("qib,cd->ciqdb", p2_grads(rule.points), eye).reshape(12, 4 * nq)
+    coeffs = u_coeffs[V.cell_dofs]
+    uh = (coeffs @ values).reshape(nt, nq, 2)
+    guh = (coeffs @ grads).reshape(nt, 2 * nq, 2) @ inv_t.transpose(0, 2, 1)
 
-    cx = u_coeffs[V.cell_dofs[:, :6]]
-    cy = u_coeffs[V.cell_dofs[:, 6:]]
-    uh = np.stack([
-        np.einsum("ti,qi->tq", cx, phi),
-        np.einsum("ti,qi->tq", cy, phi),
-    ], axis=-1)
-    guh = np.stack([
-        np.einsum("ti,tqia->tqa", cx, grads),
-        np.einsum("ti,tqia->tqa", cy, grads),
-    ], axis=-2)
-
-    phys = p0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
-    flat = phys.reshape(-1, 2)
-    shape = (V.mesh.num_cells, rule.num_points)
-    u = problem.displacement(flat).reshape(shape + (2,))
-    gu = problem.displacement_gradient(flat).reshape(shape + (2, 2))
-
-    l2 = np.sqrt(np.sum(w * np.sum((uh - u) ** 2, axis=-1)))
-    h1 = np.sqrt(np.sum(w * np.sum((guh - gu) ** 2, axis=(-2, -1))))
+    du = uh - problem.displacement(points).reshape(nt, nq, 2)
+    dg = (guh - problem.displacement_gradient(points).reshape(nt, 2 * nq, 2)
+          ).reshape(nt, nq, 4)
+    l2 = np.sqrt(np.einsum("tq,tqc,tqc->", w, du, du))
+    h1 = np.sqrt(np.einsum("tq,tqk,tqk->", w, dg, dg))
     return float(l2), float(h1)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -96,11 +97,27 @@ def test_json_round_trip(small_result):
     # one set-up record per (pair, level), with the fill of both factors
     (setup,) = payload["setups"]
     assert (setup["pair"], setup["level"]) == ("p2p0", 2)
+    # the wall seconds of its prepare_case
+    assert isinstance(setup["setup_s"], float) and 0.0 < setup["setup_s"] < 60.0
     assert setup["fill_a_nnz"] == 3094
     assert setup["fill_saddle_nnz"] == 4588
     # P0 mass is diagonal, so Pi is the L2 projection and theta_max its bound
     assert setup["theta_min"] == pytest.approx(0.4305595181, rel=1e-9)
     assert setup["theta_max"] == 1.0
+
+
+def test_setup_seconds_time_prepare_case(monkeypatch):
+    original = bench.prepare_case
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "prepare_case", slow)
+    result = run_table_experiment(ExperimentConfig(pairs=("p2p0",), levels=(1,),
+                                                   nu_values=(0.25,)))
+    (setup,) = result.setups
+    assert setup.setup_s >= 0.2
 
 
 def test_json_theta_max_of_diagonal_p1_projection():
@@ -137,6 +154,9 @@ def test_verification_suite_all_green():
             "lambda-uniformity"} <= names
     failures = [f"{o.name}: {o.detail}" for o in outcomes if not o.passed]
     assert not failures, failures
+    # beta_h at L2-L5 of both pairs
+    (inf_sup,) = [o for o in outcomes if o.name == "inf-sup"]
+    assert inf_sup.detail.count("L5=") == 2 and inf_sup.detail.count("L4=") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +320,7 @@ def test_json_setup_record_of_failed_setup(capsys):
                      "--format", "json"])
     assert code == cli.EXIT_SOLVER
     payload = json.loads(capsys.readouterr().out)
-    assert payload["setups"] == [{"pair": "p2p1", "level": 0,
+    assert payload["setups"] == [{"pair": "p2p1", "level": 0, "setup_s": None,
                                   "fill_a_nnz": None, "fill_saddle_nnz": None,
                                   "theta_min": None, "theta_max": None}]
 

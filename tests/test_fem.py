@@ -12,7 +12,8 @@ from elastprec.fem import (ManufacturedProblem, apply_dirichlet,
                            build_space, compute_errors, interpolate)
 from elastprec.mesh import build_uniform_mesh
 from elastprec.quadrature import RULE_DEGREE5, RULE_DEGREE6
-from elastprec.fem import p1_values, p2_grads, _cell_shapes, _geometry  # noqa: F401  (oracle use)
+from elastprec.fem import (p1_values, p2_grads, p2_values, _cell_shapes,  # noqa: F401  (oracle use)
+                           _geometry, _physical_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -543,24 +544,79 @@ def test_errors_of_interpolant_scale_cubically():
     assert h1s[0] / h1s[1] >= 3.5 and h1s[1] / h1s[2] >= 3.5   # ~O(h^2)
 
 
+class _QuadraticProblem(ManufacturedProblem):
+    """A quadratic field, which the P2 space represents exactly."""
+
+    def displacement(self, points):
+        x, y = points[:, 0], points[:, 1]
+        return np.column_stack([x * x, x * y])
+
+    def displacement_gradient(self, points):
+        x, y = points[:, 0], points[:, 1]
+        g = np.empty((points.shape[0], 2, 2))
+        g[:, 0, 0] = 2 * x
+        g[:, 0, 1] = 0.0
+        g[:, 1, 0] = y
+        g[:, 1, 1] = x
+        return g
+
+
 def test_errors_zero_for_exact_coefficients():
-    # a quadratic field is represented exactly by the space
-    class Quadratic(ManufacturedProblem):
-        def displacement(self, points):
-            x, y = points[:, 0], points[:, 1]
-            return np.column_stack([x * x, x * y])
-
-        def displacement_gradient(self, points):
-            x, y = points[:, 0], points[:, 1]
-            g = np.empty((points.shape[0], 2, 2))
-            g[:, 0, 0] = 2 * x
-            g[:, 0, 1] = 0.0
-            g[:, 1, 0] = y
-            g[:, 1, 1] = x
-            return g
-
-    problem = Quadratic()
+    problem = _QuadraticProblem()
     V = build_space(build_uniform_mesh(2), "p2v")
     u = interpolate(V, problem.displacement)
     l2, h1 = compute_errors(u, problem, V)
     assert l2 <= 1e-14 and h1 <= 1e-13
+
+
+def _per_cell_errors(u_coeffs, problem, V):
+    """L2 and H1 errors with physical gradients formed per cell."""
+    rule = RULE_DEGREE6
+    p0, jac, _, _ = _geometry(V.mesh)
+    grads, det = _physical_grads(jac, rule)
+    w = rule.weights[None, :] * det[:, None]
+    phi = p2_values(rule.points)
+    cx = u_coeffs[V.cell_dofs[:, :6]]
+    cy = u_coeffs[V.cell_dofs[:, 6:]]
+    uh = np.stack([np.einsum("ti,qi->tq", cx, phi),
+                   np.einsum("ti,qi->tq", cy, phi)], axis=-1)
+    guh = np.stack([np.einsum("ti,tqia->tqa", cx, grads),
+                    np.einsum("ti,tqia->tqa", cy, grads)], axis=-2)
+    flat = (p0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)).reshape(-1, 2)
+    shape = (V.mesh.num_cells, rule.num_points)
+    u = problem.displacement(flat).reshape(shape + (2,))
+    gu = problem.displacement_gradient(flat).reshape(shape + (2, 2))
+    l2 = np.sqrt(np.sum(w * np.sum((uh - u) ** 2, axis=-1)))
+    h1 = np.sqrt(np.sum(w * np.sum((guh - gu) ** 2, axis=(-2, -1))))
+    return l2, h1
+
+
+@pytest.mark.parametrize("jitter,level", [(True, 2), (True, 3), (False, 4)])
+def test_errors_match_per_cell_reference(jitter, level):
+    mesh = _jittered_mesh(level) if jitter else build_uniform_mesh(level)
+    V = build_space(mesh, "p2v")
+    problem = ManufacturedProblem()
+    rng = np.random.default_rng(level)
+    for u in (rng.standard_normal(V.dof_count),
+              interpolate(V, problem.displacement) + 1e-3 * rng.standard_normal(V.dof_count)):
+        np.testing.assert_allclose(compute_errors(u, problem, V),
+                                   _per_cell_errors(u, problem, V), rtol=1e-12)
+
+
+def test_errors_of_two_problems_on_one_space():
+    mesh = _jittered_mesh(2)
+    problems = (ManufacturedProblem(), _QuadraticProblem())
+    rng = np.random.default_rng(5)
+    V = build_space(mesh, "p2v")
+    u = rng.standard_normal(V.dof_count)
+    want = [_per_cell_errors(u, p, V) for p in problems]
+    for order in ((0, 1), (1, 0)):
+        V = build_space(mesh, "p2v")
+        got = {k: compute_errors(u, problems[k], V) for k in order}
+        cached = V._error_quadrature
+        for k in order:
+            np.testing.assert_allclose(got[k], want[k], rtol=1e-12)
+            # a second call reads the same mesh data and gets the same errors
+            assert compute_errors(u, problems[k], V) == got[k]
+        assert V._error_quadrature is cached
+    assert want[0][0] != pytest.approx(want[1][0], rel=1e-3)
