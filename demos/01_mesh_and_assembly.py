@@ -47,14 +47,15 @@ for kind in ("p0", "p1"):
 
 # %% [markdown]
 # `assemble_system` builds the strain stiffness $A$, the divergence coupling
-# $B$, the pressure mass $M_Q$ with its diagonal surrogate $D$, and the load
-# vector of the built-in manufactured problem.
+# $B$, the pressure mass $M_Q$, whose diagonal $D$ is the surrogate of the
+# pressure projection, and the load vector of the built-in manufactured
+# problem.
 
 # %%
 system = assemble_system(mesh, "p0")
 print("A:", system.A.shape, "nnz", system.A.nnz)
 print("B:", system.B.shape, "nnz", system.B.nnz)
-print("MQ diagonal?", (system.MQ - system.MQ.T).nnz == 0, "| D =", system.D[0])
+print("MQ diagonal?", (system.MQ - system.MQ.T).nnz == 0, "| D =", system.MQ.diagonal()[0])
 
 # %% [markdown]
 # Two sanity identities: the strain energy of $u = (x, 0)$ is exactly 1 on

@@ -353,6 +353,12 @@ class CheckOutcome:
     detail: str
 
 
+def _require(ok: bool, message: str) -> None:
+    """Fail a check with ``message``; unlike ``assert``, also under ``-O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _random_modes(rng: np.random.Generator, count: int, dim: int):
     for _ in range(count):
         xi = rng.uniform(-10.0, 10.0, size=dim)
@@ -372,8 +378,8 @@ def _check_fourier_convex(rng) -> str:
             scale = np.linalg.norm(fhat) / (xi @ xi)
             worst_raw = max(worst_raw, res)
             worst_scaled = max(worst_scaled, res / scale)
-    assert worst_raw <= 1e-12, f"raw residual {worst_raw:.3e} exceeds 1e-12"
-    assert worst_scaled <= 1e-13, f"scaled residual {worst_scaled:.3e} exceeds 1e-13"
+    _require(worst_raw <= 1e-12, f"raw residual {worst_raw:.3e} exceeds 1e-12")
+    _require(worst_scaled <= 1e-13, f"scaled residual {worst_scaled:.3e} exceeds 1e-13")
     return f"max residual {worst_raw:.3e} (scaled {worst_scaled:.3e}) over 1000 modes"
 
 
@@ -384,7 +390,7 @@ def _check_fourier_idempotent(rng) -> str:
             t = float(rng.choice([rng.uniform(-0.99, 2.0), 10.0 ** rng.uniform(0.0, 6.0)]))
             res = fourier.verify_inverse_idempotent(t, xi)
             worst = max(worst, res / (1.0 + abs(t)))
-    assert worst <= 1e-13, f"scaled idempotent residual {worst:.3e} exceeds 1e-13"
+    _require(worst <= 1e-13, f"scaled idempotent residual {worst:.3e} exceeds 1e-13")
     return f"max scaled residual {worst:.3e} over 500 draws"
 
 
@@ -397,7 +403,7 @@ def _check_fourier_stokes(rng) -> str:
             uhat, _ = fourier.solve_mode_stokes(xi, fhat)
             incompress = abs(xi @ uhat) / np.linalg.norm(fhat)
             worst = max(worst, incompress)
-    assert worst <= 1e-13, f"Stokes symbol residual {worst:.3e} exceeds 1e-13"
+    _require(worst <= 1e-13, f"Stokes symbol residual {worst:.3e} exceeds 1e-13")
     return f"max scaled residual {worst:.3e} over 500 modes"
 
 
@@ -410,7 +416,7 @@ def _check_fourier_symbol_inverse(rng) -> str:
             res = np.linalg.norm(fourier.elasticity_symbol(xi, lam) @ uhat - fhat)
             # scale by the symbol norm ~ (2 lam + 2) |xi|^2 / |xi|^2
             worst = max(worst, res / ((2.0 * lam + 2.0) * np.linalg.norm(fhat)))
-    assert worst <= 1e-13, f"scaled symbol inverse residual {worst:.3e} exceeds 1e-13"
+    _require(worst <= 1e-13, f"scaled symbol inverse residual {worst:.3e} exceeds 1e-13")
     return f"max scaled residual {worst:.3e} over 500 modes"
 
 
@@ -426,8 +432,8 @@ def _check_projection(cases, rng) -> str:
             diff = ppv - pv
             worst_idem = max(worst_idem, np.sqrt(diff @ (reduced.A @ diff)) / anorm)
             worst_div = max(worst_div, np.linalg.norm(reduced.B @ pv) / anorm)
-    assert worst_idem <= 1e-10, f"projection idempotency defect {worst_idem:.3e}"
-    assert worst_div <= 1e-10, f"projected divergence {worst_div:.3e}"
+    _require(worst_idem <= 1e-10, f"projection idempotency defect {worst_idem:.3e}")
+    _require(worst_div <= 1e-10, f"projected divergence {worst_div:.3e}")
     return f"idempotency {worst_idem:.3e}, divergence {worst_div:.3e}"
 
 
@@ -441,7 +447,7 @@ def _check_one_step_projection(case, rng) -> str:
         scale = np.sqrt(one @ (reduced.A @ one))
         diff = one - two
         worst = max(worst, np.sqrt(diff @ (reduced.A @ diff)) / scale)
-    assert worst <= 1e-10, f"one-step vs two-step projection differ by {worst:.3e}"
+    _require(worst <= 1e-10, f"one-step vs two-step projection differ by {worst:.3e}")
     return f"max A-norm difference {worst:.3e}"
 
 
@@ -469,8 +475,8 @@ def _check_inf_sup(inf_sup) -> str:
     for pair, reports in inf_sup.items():
         betas = {}
         for level, r in reports.items():
-            assert r.theta_max <= 2.0 + 1e-8, \
-                f"{pair}@L{level}: theta_max {r.theta_max:.6f} exceeds 2"
+            _require(r.theta_max <= 2.0 + 1e-8,
+                     f"{pair}@L{level}: theta_max {r.theta_max:.6f} exceeds 2")
             betas[level] = r.beta_h
         for level in _INF_SUP_LEVELS:
             if level not in betas:
@@ -479,7 +485,7 @@ def _check_inf_sup(inf_sup) -> str:
                                                                      case.a_factor)))
         levels = sorted(betas)
         spread = abs(betas[levels[-1]] - betas[levels[0]]) / betas[levels[-1]]
-        assert spread < 0.2, f"{pair}: inf-sup varies by {spread:.1%} across levels"
+        _require(spread < 0.2, f"{pair}: inf-sup varies by {spread:.1%} across levels")
         measured = sorted(reports)
         details.append(f"{pair}: beta_h " +
                        ", ".join(f"L{l}={betas[l]:.4f}" for l in levels) +
@@ -498,7 +504,7 @@ def _check_preconditioner_symmetry(case, rng) -> str:
         left = g2 @ precond.apply(g1)
         right = g1 @ precond.apply(g2)
         worst = max(worst, abs(left - right) / max(abs(left), abs(right)))
-    assert worst <= 1e-12, f"preconditioner asymmetry {worst:.3e}"
+    _require(worst <= 1e-12, f"preconditioner asymmetry {worst:.3e}")
     return f"max relative asymmetry {worst:.3e}"
 
 
@@ -506,15 +512,15 @@ def _check_dense_cross_check(cases) -> str:
     details = []
     for case in cases:
         cell = solve_cell(case, 0.4999)
-        assert cell.error is None, f"{case.pair}@L{case.level}: {cell.error}"
+        _require(cell.error is None, f"{case.pair}@L{case.level}: {cell.error}")
         spectrum = dense_preconditioned_spectrum(case.reduced, cell.lam,
                                                  case.a_factor, case.projector,
                                                  case.projection)
         dense = spectrum[-1] / spectrum[0]
         rel = abs(cell.condition - dense) / dense
-        assert rel <= 0.05, (
-            f"{case.pair}@L{case.level}: pencil {cell.condition:.4f} vs dense "
-            f"{dense:.4f} differ by {rel:.1%}")
+        _require(rel <= 0.05,
+                 f"{case.pair}@L{case.level}: pencil {cell.condition:.4f} vs dense "
+                 f"{dense:.4f} differ by {rel:.1%}")
         details.append(f"{case.pair}@L{case.level} ({case.reduced.dim} dofs): "
                        f"{cell.condition:.3f} vs {dense:.3f}")
     return "; ".join(details)
@@ -531,17 +537,17 @@ def _check_exact_inverse_identity(case) -> str:
     expected = a + lam * (a @ (np.eye(n) - p))
     expected = 0.5 * (expected + expected.T)
     rel = np.linalg.norm(m_inv - expected) / np.linalg.norm(expected)
-    assert rel <= 1e-8, f"inverse identity defect {rel:.3e}"
+    _require(rel <= 1e-8, f"inverse identity defect {rel:.3e}")
     return f"relative defect {rel:.3e}"
 
 
 def _check_lambda_zero(case) -> str:
     cell = solve_cell(case, 0.0)
-    assert cell.error is None, f"{case.pair}@L{case.level}: {cell.error}"
-    assert cell.iterations == 1, \
-        f"exact-inverse preconditioning took {cell.iterations} iterations"
+    _require(cell.error is None, f"{case.pair}@L{case.level}: {cell.error}")
+    _require(cell.iterations == 1,
+             f"exact-inverse preconditioning took {cell.iterations} iterations")
     cond = cell.condition
-    assert abs(cond - 1.0) <= 1e-6, f"condition at lambda=0 is {cond}"
+    _require(abs(cond - 1.0) <= 1e-6, f"condition at lambda=0 is {cond}")
     return f"1 iteration, condition {cond:.12f}"
 
 
@@ -551,8 +557,8 @@ def _check_lambda_uniformity(cases) -> str:
         conds = {lam: sharpened_condition_estimate(case, lam)
                  for lam in (1.0, 1e2, 1e4, 1e6)}
         bound = 1.2 * conds[1e6]
-        assert all(c <= bound for c in conds.values()), \
-            f"{case.pair}: condition not uniformly bounded: {conds}"
+        _require(all(c <= bound for c in conds.values()),
+                 f"{case.pair}: condition not uniformly bounded: {conds}")
         details.append(f"{case.pair}: " +
                        ", ".join(f"{lam:g}->{c:.3f}" for lam, c in conds.items()))
     return "; ".join(details)

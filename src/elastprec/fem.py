@@ -81,17 +81,17 @@ class DofSpace:
     dirichlet_mask: np.ndarray | None = None
 
     @cached_property
-    def _error_quadrature(self):
+    def _degree6_rule(self):
         """Degree-6 rule data of the mesh, computed on first use and kept.
 
         Per cell: the scaled weights ``(nt, nq)`` and the inverse-transpose
         Jacobian ``(nt, 2, 2)``; and the physical rule points, flattened
-        to ``(nt * nq, 2)``.  Nothing here depends on a problem.
+        to ``(nt * nq, 2)``.  Problem-free, so the load and the errors share it.
         """
         rule = RULE_DEGREE6
         p0, jac, det, inv_t = _geometry(self.mesh)
-        points = _physical_points(p0, jac, rule).reshape(-1, 2)
-        return _scaled_weights(rule, det), inv_t, points
+        points = p0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+        return _scaled_weights(rule, det), inv_t, points.reshape(-1, 2)
 
 
 def build_space(mesh: Mesh, kind: str) -> DofSpace:
@@ -216,11 +216,6 @@ def _scaled_weights(rule: TriangleRule, det: np.ndarray) -> np.ndarray:
     return rule.weights[None, :] * det[:, None]
 
 
-def _physical_points(p0: np.ndarray, jac: np.ndarray, rule: TriangleRule) -> np.ndarray:
-    """Rule points mapped into every cell, shape (nt, nq, 2)."""
-    return p0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
-
-
 def _scatter(vals, rows, cols, shape) -> sp.csr_array:
     # tocsr() sums duplicates and sorts the indices
     return sp.coo_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
@@ -315,16 +310,13 @@ def assemble_load(problem: ManufacturedProblem, V: DofSpace) -> np.ndarray:
 
     The body force is trigonometric, so the integral is not exact; the
     degree-6 rule keeps the consistency error far below discretization
-    error on every supported level.
+    error on every supported level.  Its mesh data is cached on ``V``.
     """
     if V.kind != "p2v":
         raise ValueError("load assembly requires the quadratic vector space")
-    rule = RULE_DEGREE6
-    p0, jac, det, _ = _geometry(V.mesh)
-    w = _scaled_weights(rule, det)
-    phys = _physical_points(p0, jac, rule)
-    f = problem.body_force(phys.reshape(-1, 2)).reshape(V.mesh.num_cells, rule.num_points, 2)
-    phi = p2_values(rule.points)
+    w, _, points = V._degree6_rule
+    f = problem.body_force(points).reshape(*w.shape, 2)
+    phi = p2_values(RULE_DEGREE6.points)
 
     contrib = np.empty((V.mesh.num_cells, 12))
     contrib[:, :6] = np.einsum("tq,tq,qi->ti", w, f[..., 0], phi)
@@ -338,9 +330,54 @@ def assemble_load(problem: ManufacturedProblem, V: DofSpace) -> np.ndarray:
 PROJECTION_MODES = ("diagonal", "exact")
 
 
-class _LambdaOperator:
-    """``A_lam = A + lam * B^T Pi B`` on the operators ``A``, ``B``, ``MQ``;
-    ``Pi`` divides by ``D``, which is derived from ``MQ``, or solves with ``MQ``."""
+@dataclass
+class AssembledSystem:
+    """Operators and load on the full dof set, read by ``apply_dirichlet``."""
+
+    V: DofSpace
+    Q: DofSpace
+    A: sp.csr_array
+    B: sp.csr_array
+    MQ: sp.csr_array
+    rhs: np.ndarray
+
+
+def assemble_system(mesh: Mesh, pressure_kind: str = "p0",
+                    problem: ManufacturedProblem | None = None) -> AssembledSystem:
+    """Assemble stiffness, divergence, pressure mass and load in one go."""
+    problem = problem if problem is not None else ManufacturedProblem()
+    V = build_space(mesh, "p2v")
+    Q = build_space(mesh, pressure_kind)
+    A = assemble_epsilon_stiffness(V)
+    B = assemble_div(V, Q)
+    MQ = assemble_pressure_mass(Q)
+    rhs = assemble_load(problem, V)
+    return AssembledSystem(V=V, Q=Q, A=A, B=B, MQ=MQ, rhs=rhs)
+
+
+@dataclass
+class ReducedSystem:
+    """System restricted to the Dirichlet-free dofs, with boundary lift.
+
+    Carries ``A_lam = A + lam * B^T Pi B``; ``Pi`` divides by ``D``, which
+    is derived from ``MQ``, or solves with ``MQ``.  The reduced right-hand
+    side depends on the compressibility parameter through the lift, so it
+    is exposed as ``rhs(lam)``; the lam-independent pieces are precomputed.
+    """
+
+    V: DofSpace
+    Q: DofSpace
+    free: np.ndarray
+    lift: np.ndarray
+    A: sp.csr_array
+    B: sp.csr_array
+    MQ: sp.csr_array
+    _rhs_const: np.ndarray = field(repr=False)
+    _b_lift: np.ndarray = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.free.size
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -390,55 +427,6 @@ class _LambdaOperator:
             scaled = sp.csr_array(
                 self.pressure_projection_apply(self.B.toarray(), projection))
         return (self.A + lam * (self.BT @ scaled)).tocsr()
-
-
-@dataclass
-class AssembledSystem(_LambdaOperator):
-    """All operators of the discretized problem on the full dof set."""
-
-    V: DofSpace
-    Q: DofSpace
-    A: sp.csr_array
-    B: sp.csr_array
-    MQ: sp.csr_array
-    rhs: np.ndarray
-
-
-def assemble_system(mesh: Mesh, pressure_kind: str = "p0",
-                    problem: ManufacturedProblem | None = None) -> AssembledSystem:
-    """Assemble stiffness, divergence, pressure mass and load in one go."""
-    problem = problem if problem is not None else ManufacturedProblem()
-    V = build_space(mesh, "p2v")
-    Q = build_space(mesh, pressure_kind)
-    A = assemble_epsilon_stiffness(V)
-    B = assemble_div(V, Q)
-    MQ = assemble_pressure_mass(Q)
-    rhs = assemble_load(problem, V)
-    return AssembledSystem(V=V, Q=Q, A=A, B=B, MQ=MQ, rhs=rhs)
-
-
-@dataclass
-class ReducedSystem(_LambdaOperator):
-    """System restricted to the Dirichlet-free dofs, with boundary lift.
-
-    The reduced right-hand side depends on the compressibility parameter
-    through the lift, so it is exposed as ``rhs(lam)``; the lam-independent
-    pieces are precomputed.
-    """
-
-    V: DofSpace
-    Q: DofSpace
-    free: np.ndarray
-    lift: np.ndarray
-    A: sp.csr_array
-    B: sp.csr_array
-    MQ: sp.csr_array
-    _rhs_const: np.ndarray = field(repr=False)
-    _b_lift: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.free.size
 
     def rhs(self, lam: float, projection: str = "diagonal") -> np.ndarray:
         if lam < 0.0:
@@ -495,7 +483,7 @@ def compute_errors(u_coeffs: np.ndarray, problem: ManufacturedProblem,
     if V.kind != "p2v":
         raise ValueError("error evaluation requires the quadratic vector space")
     rule = RULE_DEGREE6
-    w, inv_t, points = V._error_quadrature
+    w, inv_t, points = V._degree6_rule
     nt, nq = w.shape
     # block-diagonal in the component: row (c, i) of a cell's 12 dofs feeds
     # column (q, c), and column (q, c, b) for the reference derivative b

@@ -81,23 +81,15 @@ class StokesProjector:
     application.
     """
 
-    def __init__(self, A: sp.csr_array, B: sp.csr_array, MQ: sp.csr_array,
+    def __init__(self, A: sp.csr_array, B: sp.csr_array,
                  a_factor: Factorization, dissection: NestedDissection):
         self.A = A
         self.n_velocity = A.shape[1]
         self.n_pressure = B.shape[0]
-        self.pinned_dof = self.n_pressure - 1
-        self._mq = MQ
         b_pinned = B[:-1]
         saddle = sp.block_array([[A, b_pinned.T], [b_pinned, None]], format="csc")
         self.factorization: Factorization = factor_symmetric_indefinite(
             saddle, saddle_order(a_factor, b_pinned, dissection))
-
-    def _solve(self, g: np.ndarray) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        pad = (self.n_pressure - 1,) + g.shape[1:]
-        rhs = np.concatenate([g, np.zeros(pad)])
-        return self.factorization.solve(rhs)
 
     def project_dual(self, g: np.ndarray) -> np.ndarray:
         """Velocity block of the saddle solve with momentum data ``g``.
@@ -105,20 +97,14 @@ class StokesProjector:
         For ``g`` in the dual space this equals ``P A^{-1} g``; accepts a
         vector or a dense block of columns.
         """
-        return self._solve(g)[: self.n_velocity]
+        g = np.asarray(g, dtype=float)
+        pad = (self.n_pressure - 1,) + g.shape[1:]
+        rhs = np.concatenate([g, np.zeros(pad)])
+        return self.factorization.solve(rhs)[: self.n_velocity]
 
     def project(self, w: np.ndarray) -> np.ndarray:
         """Apply the projection ``P`` to primal coefficients ``w``."""
         return self.project_dual(self.A @ w)
-
-    def solve_with_pressure(self, g: np.ndarray):
-        """Return ``(velocity, multiplier)`` with zero-mean multiplier."""
-        sol = self._solve(g)
-        v = sol[: self.n_velocity]
-        p = np.insert(sol[self.n_velocity:], self.pinned_dof, 0.0, axis=0)
-        ones = np.ones(self.n_pressure)
-        p = p - ones @ (self._mq @ p)  # domain has unit measure
-        return v, p
 
 
 def build_projector(reduced: ReducedSystem, a_factor: Factorization,
@@ -129,7 +115,7 @@ def build_projector(reduced: ReducedSystem, a_factor: Factorization,
     ``dissection``, the nested dissection of the free velocity nodes; the
     saddle reuses both.
     """
-    return StokesProjector(reduced.A, reduced.B, reduced.MQ, a_factor, dissection)
+    return StokesProjector(reduced.A, reduced.B, a_factor, dissection)
 
 
 class Preconditioner:
@@ -143,17 +129,13 @@ class Preconditioner:
         self.a_factor = a_factor
         self.projector = projector
 
-    @property
-    def weights(self) -> tuple[float, float]:
-        """(projected, plain) weights ``lam/(1+lam)`` and ``1/(1+lam)``."""
-        return self.lam / (1.0 + self.lam), 1.0 / (1.0 + self.lam)
-
     def apply(self, g: np.ndarray) -> np.ndarray:
-        w_proj, w_plain = self.weights
-        return w_proj * self.projector.project_dual(g) + w_plain * self.a_factor.solve(g)
+        lam = self.lam
+        return (lam / (1.0 + lam) * self.projector.project_dual(g)
+                + 1.0 / (1.0 + lam) * self.a_factor.solve(g))
 
 
-def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
+def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
               max_iterations: int = 500):
     """Preconditioned conjugate gradients.
 
@@ -166,7 +148,8 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         Application of the SPD system operator.
     rhs : array
         Right-hand side; a zero right-hand side returns immediately.
-    preconditioner : Preconditioner or None
+    preconditioner : Preconditioner
+        Anything whose ``apply`` maps a residual to a search direction.
     tol : float
         Relative residual tolerance.
 
@@ -183,7 +166,6 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    apply_m = (lambda r: r) if preconditioner is None else preconditioner.apply
 
     rhs = np.asarray(rhs, dtype=float)
     norm_b = np.linalg.norm(rhs)
@@ -198,7 +180,7 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
                                                         np.array(history)))
 
     r = rhs.copy()
-    z = apply_m(r)
+    z = preconditioner.apply(r)
     rz = float(r @ z)
     p = z.copy()
     target = min(max_iterations, rhs.size)
@@ -214,7 +196,7 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner=None, tol: float = 1e-6,
         x += alpha * p
         r -= alpha * ap
 
-        z = apply_m(r)
+        z = preconditioner.apply(r)
         rz_next = float(r @ z)
 
         res = float(np.linalg.norm(rhs - op(x)) / norm_b)

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +359,26 @@ def test_cli_fourier_check(capsys):
     assert all(line.startswith("PASS fourier-") for line in lines)
     assert cli.main(["verify", "--seed", "7"]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[:4] == lines
+
+
+def test_cli_fourier_check_fails_under_optimize():
+    # python -O strips assert statements; a failing check must still fail
+    script = ("import sys\n"
+              "import elastprec.fourier as fourier\n"
+              "fourier.verify_convex_combination = lambda *args: 1.0\n"
+              "from elastprec import cli\n"
+              "sys.exit(cli.main(['fourier-check']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == cli.EXIT_VERIFY, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert lines[0] == ("FAIL fourier-convex-combination: "
+                        "raw residual 1.000e+00 exceeds 1e-12")
+    assert all(line.startswith("PASS fourier-") for line in lines[1:])
 
 
 def test_cli_exit_codes_distinct():

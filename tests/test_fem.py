@@ -350,20 +350,23 @@ def test_assembly_matches_per_cell_reference(jitter, level):
 # the modified operator
 
 def _small_system(pressure="p0", level=2):
-    return assemble_system(build_uniform_mesh(level), pressure)
+    problem = ManufacturedProblem()
+    return apply_dirichlet(assemble_system(build_uniform_mesh(level), pressure,
+                                           problem), problem)
 
 
 def test_lambda_operator_at_zero():
     system = _small_system()
     rng = np.random.default_rng(7)
-    v = rng.standard_normal(system.V.dof_count)
+    v = rng.standard_normal(system.dim)
     np.testing.assert_array_equal(system.apply_lambda(0.0, v), system.A @ v)
 
 
-def test_lambda_operator_on_divergence_free_field():
-    # the rotation (-y, x) is linear, interpolated exactly, pointwise div-free
-    system = _small_system()
-    v = interpolate(system.V, lambda p: np.column_stack([-p[:, 1], p[:, 0]]))
+def test_lambda_operator_on_divergence_free_field(case_p2p0_l2):
+    # the Stokes projection of any field is discretely divergence-free
+    system = case_p2p0_l2.reduced
+    rng = np.random.default_rng(7)
+    v = case_p2p0_l2.projector.project(rng.standard_normal(system.dim))
     for lam in (0.0, 1.0, 2499.5):
         np.testing.assert_allclose(system.apply_lambda(lam, v),
                                    system.A @ v, atol=1e-12)
@@ -375,7 +378,7 @@ def test_lambda_quadratic_form_identity(pressure):
     rng = np.random.default_rng(8)
     lam = 249.5
     for _ in range(5):
-        v = rng.standard_normal(system.V.dof_count)
+        v = rng.standard_normal(system.dim)
         lhs = v @ system.apply_lambda(lam, v)
         bv = system.B @ v
         rhs = v @ (system.A @ v) + lam * (bv @ (bv / system.D))
@@ -386,7 +389,7 @@ def test_lambda_quadratic_form_identity(pressure):
 def test_lambda_operator_matrix_matches_application():
     system = _small_system("p1")
     rng = np.random.default_rng(9)
-    v = rng.standard_normal(system.V.dof_count)
+    v = rng.standard_normal(system.dim)
     for projection in ("diagonal", "exact"):
         mat = system.lambda_matrix(3.5, projection)
         np.testing.assert_allclose(
@@ -411,7 +414,7 @@ def test_lambda_operator_caches_csr_transpose(fixture, request):
 def test_exact_projection_equals_diagonal_for_p0():
     system = _small_system("p0")
     rng = np.random.default_rng(10)
-    v = rng.standard_normal(system.V.dof_count)
+    v = rng.standard_normal(system.dim)
     np.testing.assert_allclose(system.apply_lambda(5.0, v, "exact"),
                                system.apply_lambda(5.0, v, "diagonal"),
                                rtol=1e-12, atol=1e-14)
@@ -443,7 +446,7 @@ def test_projection_diagonal_is_mass_diagonal(fixture, request):
 def test_negative_lambda_rejected():
     system = _small_system()
     with pytest.raises(ValueError, match="nonnegative"):
-        system.apply_lambda(-1.0, np.zeros(system.V.dof_count))
+        system.apply_lambda(-1.0, np.zeros(system.dim))
     with pytest.raises(ValueError, match="projection"):
         system.pressure_projection_apply(np.zeros(system.Q.dof_count), "weird")
 
@@ -613,10 +616,12 @@ def test_errors_of_two_problems_on_one_space():
     for order in ((0, 1), (1, 0)):
         V = build_space(mesh, "p2v")
         got = {k: compute_errors(u, problems[k], V) for k in order}
-        cached = V._error_quadrature
+        cached = V._degree6_rule
         for k in order:
             np.testing.assert_allclose(got[k], want[k], rtol=1e-12)
             # a second call reads the same mesh data and gets the same errors
             assert compute_errors(u, problems[k], V) == got[k]
-        assert V._error_quadrature is cached
+            # the load reads the same rule data and keeps it
+            assemble_load(problems[k], V)
+        assert V._degree6_rule is cached
     assert want[0][0] != pytest.approx(want[1][0], rel=1e-3)

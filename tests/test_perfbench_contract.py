@@ -1,0 +1,63 @@
+"""The library surface that perfbench patches and calls still holds.
+
+perfbench (the benchmark harness next to ``src/``) wraps module globals and
+class attributes of elastprec by name and reads facts off the cases it sees.
+These tests run its two benchmark workloads on a small mesh with every
+layer traced, so a rename or a signature change in ``src/`` fails here
+rather than only in a benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from elastprec import bench, fem, solver, sparse_linalg
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+WORKLOAD_INPUTS = {
+    "table": bench.ExperimentConfig(levels=(2,)),
+    "solve-L6": workloads.SolveInputs(level=2),
+}
+PATCHED_CLASS_ATTRIBUTES = ((sparse_linalg.Factorization, "solve"),
+                            (solver.Preconditioner, "apply"),
+                            (fem.ReducedSystem, "apply_lambda"))
+
+
+def _snapshot():
+    """Every global of ``bench`` and ``solver`` and each patched attribute."""
+    return ([dict(vars(bench)), dict(vars(solver))]
+            + [vars(owner)[attr] for owner, attr in PATCHED_CLASS_ATTRIBUTES])
+
+
+def _same(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(a[k] is b[k] for k in a)
+    return a is b
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_INPUTS))
+def test_traced_workload_passes_gate_and_restores(name):
+    workload = workloads.WORKLOADS[name]
+    before = _snapshot()
+    recorder = spans.Recorder(0)
+    recorder.install(traced=True)
+    try:
+        raw = workload.run(WORKLOAD_INPUTS[name])
+    finally:
+        recorder.restore()
+
+    assert all(_same(a, b) for a, b in zip(_snapshot(), before))
+
+    solves = workload.solves(raw, recorder)
+    assert solves
+    reasons = workloads.gate(solves, recorder, workloads.load_reference())
+    assert reasons == [[] for _ in solves]
+
+    metrics = spans.layer_metrics(recorder.spans)
+    assert metrics["fem.assemble_s"] > 0.0
+    assert metrics["sparse_linalg.factor_A_s"] > 0.0

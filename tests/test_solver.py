@@ -62,18 +62,6 @@ def test_one_step_solve_equals_two_step_definition(case_p2p0_l2):
         assert _anorm(red, one - two) <= 1e-10 * _anorm(red, one)
 
 
-def test_saddle_solution_with_pressure(case_p2p1_l2):
-    red = case_p2p1_l2.reduced
-    proj = case_p2p1_l2.projector
-    rng = np.random.default_rng(25)
-    g = rng.standard_normal(red.dim)
-    v, p = proj.solve_with_pressure(g)
-    # momentum equation and zero-mean multiplier
-    res = red.A @ v + red.B.T @ p - g
-    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(g)
-    assert abs(np.ones(len(p)) @ (red.MQ @ p)) <= 1e-12 * np.linalg.norm(p)
-
-
 # ---------------------------------------------------------------------------
 # preconditioner
 
@@ -145,13 +133,13 @@ def test_pcg_iteration_cap_raises_with_history(case_p2p0_l2):
     lam = poisson_to_lambda(0.4999)
     rhs = case.rhs(lam)
     with pytest.raises(PcgConvergenceError) as err:
-        pcg_solve(case.operator(lam), rhs, preconditioner=None,
+        pcg_solve(case.operator(lam), rhs, case.preconditioner(lam),
                   tol=1e-12, max_iterations=3)
     report = err.value.report
     assert report.iterations == 3
     assert len(report.residual_history) == 4
     with pytest.raises(ValueError):
-        pcg_solve(case.operator(lam), rhs, tol=2.0)
+        pcg_solve(case.operator(lam), rhs, case.preconditioner(lam), tol=2.0)
 
 
 def test_pcg_nan_rhs_raises_at_once(case_p2p0_l3):
