@@ -20,15 +20,17 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, fourier
-from .fem import (PROJECTION_MODES, ManufacturedProblem, apply_dirichlet,
-                  assemble_system, compute_errors)
-from .mesh import (MAX_LEVEL, build_uniform_mesh, check_mesh_memory,
-                   nested_dissection)
+from .fem import (PROJECTION_MODES, ManufacturedProblem, ReducedStiffness,
+                  apply_dirichlet, assemble_pressure, assemble_system,
+                  compute_errors)
+from .mesh import (MAX_LEVEL, NestedDissection, build_uniform_mesh,
+                   check_mesh_memory, nested_dissection)
 from .solver import (PcgConvergenceError, Preconditioner, SpectrumError,
                      build_projector, dense_preconditioned_spectrum,
                      dense_preconditioner_matrix, measure_inf_sup, pcg_solve,
                      schur_pencil_eigenvalue, verify_norm_equivalence)
-from .sparse_linalg import SingularMatrixError, NotSpdError, factor_spd
+from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,
+                            factor_spd)
 
 PAIRS = ("p2p0", "p2p1")
 LEVELS_DEFAULT = (2, 3, 4, 5)
@@ -105,10 +107,13 @@ class BenchSetup:
     """Set-up time, factor fill, nnz(L+U), and Schur-pencil bounds of one
     (pair, level).
 
-    ``setup_s`` is the wall time of ``prepare_case``; ``theta_min`` and
-    ``theta_max`` are ``PreparedCase.theta_bounds``.  Every field is
-    ``None`` where set-up failed, the thetas also where the pencil failed
-    or no cell asked for a condition number.
+    ``setup_s`` is the wall time of ``prepare_case``.  The first pair of a
+    level builds the level part that both pairs share (mesh, ``A``, load,
+    nested dissection and ``A`` factor), so a later pair's ``setup_s``
+    excludes it: only ``B``, ``MQ`` and its saddle factor are built there.
+    ``theta_min`` and ``theta_max`` are ``PreparedCase.theta_bounds``.
+    Every field is ``None`` where set-up failed, the thetas also where the
+    pencil failed or no cell asked for a condition number.
     """
 
     pair: str
@@ -182,26 +187,66 @@ def pressure_kind(pair: str) -> str:
     return "p0" if pair == "p2p0" else "p1"
 
 
+@dataclass
+class _LevelPart:
+    """The pressure-free set-up of one level, which both pairs share.
+
+    The reduced stiffness and load, the nested dissection of the free
+    velocity nodes and the factor of ``A`` in its order.  It holds no
+    pressure space and no saddle factor.
+    """
+
+    problem: ManufacturedProblem
+    stiffness: ReducedStiffness
+    dissection: NestedDissection
+    a_factor: Factorization
+
+
 def prepare_case(level: int, pair: str = "p2p0",
                  problem: ManufacturedProblem | None = None,
-                 projection: str = "diagonal") -> PreparedCase:
-    """Assemble and factor everything lam-independent for one case."""
-    problem = problem if problem is not None else ManufacturedProblem()
-    # the full-dof system is a temporary, freed before the factorizations run
-    reduced = apply_dirichlet(
-        assemble_system(build_uniform_mesh(level), pressure_kind(pair), problem),
-        problem)
-    # free dofs are blocked by component, so free node k owns dofs k and m + k;
-    # each node's two dofs stay adjacent in the nested-dissection order
-    m = reduced.dim // 2
-    dissection = nested_dissection(reduced.V.dof_points[reduced.free[:m]],
-                                   reduced.V.mesh.h)
-    nodes = dissection.order
-    a_factor = factor_spd(reduced.A, np.column_stack([nodes, nodes + m]).ravel())
+                 projection: str = "diagonal", *,
+                 _shared: _LevelPart | None = None) -> PreparedCase:
+    """Assemble and factor everything lam-independent for one case.
+
+    ``_shared`` is the level part of a case of another pair at the same
+    level and with the same problem (see ``_prepare_sharing``).  Given it,
+    only the pressure side is built: ``B``, ``MQ`` and the saddle factor.
+    """
+    kind = pressure_kind(pair)
+    if _shared is None:
+        problem = problem if problem is not None else ManufacturedProblem()
+        # the full-dof system is a temporary, freed before the factorizations run
+        reduced = apply_dirichlet(
+            assemble_system(build_uniform_mesh(level), kind, problem), problem)
+        # free dofs are blocked by component, so free node k owns dofs k and m + k;
+        # each node's two dofs stay adjacent in the nested-dissection order
+        m = reduced.dim // 2
+        dissection = nested_dissection(reduced.V.dof_points[reduced.free[:m]],
+                                       reduced.V.mesh.h)
+        nodes = dissection.order
+        a_factor = factor_spd(reduced.A, np.column_stack([nodes, nodes + m]).ravel())
+    else:
+        problem, stiffness = _shared.problem, _shared.stiffness
+        dissection, a_factor = _shared.dissection, _shared.a_factor
+        reduced = stiffness.couple(*assemble_pressure(stiffness.V, kind))
     return PreparedCase(
         pair=pair, level=level, reduced=reduced, dissection=dissection,
         a_factor=a_factor, projector=build_projector(reduced, a_factor, dissection),
         problem=problem, projection=projection)
+
+
+def _prepare_sharing(level: int, pair: str, parts: dict,
+                     problem: ManufacturedProblem | None = None,
+                     projection: str = "diagonal") -> PreparedCase:
+    """``prepare_case`` with the level part kept in ``parts`` (level -> part).
+
+    The first case of a level builds the part and leaves it there; the
+    next cases of that level are handed it, never a previous case.
+    """
+    case = prepare_case(level, pair, problem, projection, _shared=parts.get(level))
+    parts.setdefault(level, _LevelPart(case.problem, case.reduced.stiffness,
+                                       case.dissection, case.a_factor))
+    return case
 
 
 def sharpened_condition_estimate(case: PreparedCase, lam: float) -> float:
@@ -240,36 +285,51 @@ def solve_cell(case: PreparedCase, nu: float, tolerance: float = 1e-6) -> BenchC
     return cell
 
 
+def _run_pair(config: ExperimentConfig, problem: ManufacturedProblem | None,
+              level: int, pair: str, parts: dict) -> tuple[BenchSetup, list]:
+    """Set up one (pair, level) and solve its cells.
+
+    The case dies on return, so its saddle factor is freed before the next
+    pair's is built.
+    """
+    setup = BenchSetup(pair=pair, level=level)
+    started = time.perf_counter()
+    try:
+        case = _prepare_sharing(level, pair, parts, problem, config.projection)
+    except _NUMERICAL_ERRORS as exc:
+        return setup, [BenchCell(pair=pair, level=level, nu=nu,
+                                 lam=poisson_to_lambda(nu),
+                                 error=f"set-up failed: {exc}")
+                       for nu in config.nu_values]
+    setup.setup_s = time.perf_counter() - started
+    setup.fill_a_nnz = case.a_factor.nnz
+    setup.fill_saddle_nnz = case.projector.factorization.nnz
+    cells = [solve_cell(case, nu, config.tolerance) for nu in config.nu_values]
+    # read without computing: None unless a cell asked for it
+    setup.theta_min, setup.theta_max = vars(case).get("theta_bounds", (None, None))
+    return setup, cells
+
+
 def run_table_experiment(config: ExperimentConfig,
                          problem: ManufacturedProblem | None = None) -> BenchResult:
     """Fill the full (pair, level, nu) grid of the configuration.
 
-    Each (pair, level) records one set-up.  A (pair, level) whose set-up
-    fails records that error on each of its cells, and the sweep goes on.
+    Levels run outermost.  The first pair of a level builds the level part
+    (mesh, ``A``, load, dissection and the factor of ``A``) in its
+    ``prepare_case``, and the next pairs' ``prepare_case`` are handed it,
+    so ``A`` is factored once per level and at most one saddle factor is
+    alive.  Cells and set-ups are still listed pair by pair.  Each (pair,
+    level) records one set-up.  A (pair, level) whose set-up fails records
+    that error on each of its cells, and the sweep goes on.
     """
-    cells, setups = [], []
-    for pair in config.pairs:
-        for level in config.levels:
-            setup = BenchSetup(pair=pair, level=level)
-            setups.append(setup)
-            started = time.perf_counter()
-            try:
-                case = prepare_case(level, pair, problem, config.projection)
-            except _NUMERICAL_ERRORS as exc:
-                cells.extend(BenchCell(pair=pair, level=level, nu=nu,
-                                       lam=poisson_to_lambda(nu),
-                                       error=f"set-up failed: {exc}")
-                             for nu in config.nu_values)
-                continue
-            setup.setup_s = time.perf_counter() - started
-            setup.fill_a_nnz = case.a_factor.nnz
-            setup.fill_saddle_nnz = case.projector.factorization.nnz
-            for nu in config.nu_values:
-                cells.append(solve_cell(case, nu, config.tolerance))
-            # read without computing: None unless a cell asked for it
-            setup.theta_min, setup.theta_max = vars(case).get("theta_bounds",
-                                                              (None, None))
-    return BenchResult(config=config, cells=cells, setups=setups)
+    grid = [[None] * len(config.levels) for _ in config.pairs]
+    for j, level in enumerate(config.levels):
+        parts = {}
+        for i, pair in enumerate(config.pairs):
+            grid[i][j] = _run_pair(config, problem, level, pair, parts)
+    runs = [run for row in grid for run in row]
+    return BenchResult(config=config, cells=[c for _, cells in runs for c in cells],
+                       setups=[setup for setup, _ in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +532,7 @@ def _check_inf_sup(inf_sup) -> str:
     smallest-end run of the same pencil, prepared here.
     """
     details = []
+    parts = {}
     for pair, reports in inf_sup.items():
         betas = {}
         for level, r in reports.items():
@@ -480,7 +541,7 @@ def _check_inf_sup(inf_sup) -> str:
             betas[level] = r.beta_h
         for level in _INF_SUP_LEVELS:
             if level not in betas:
-                case = prepare_case(level, pair)
+                case = _prepare_sharing(level, pair, parts)
                 betas[level] = float(np.sqrt(schur_pencil_eigenvalue(case.reduced,
                                                                      case.a_factor)))
         levels = sorted(betas)
@@ -591,7 +652,8 @@ def run_fourier_checks(seed: int = 0) -> list[CheckOutcome]:
 def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
     """Run every identity/property check; returns one outcome per check."""
     rng = np.random.default_rng(seed)
-    cases = {(pair, level): prepare_case(level, pair)
+    parts = {}
+    cases = {(pair, level): _prepare_sharing(level, pair, parts)
              for pair in PAIRS for level in (2, 3)}
     l23 = list(cases.values())
     l3 = [cases[("p2p0", 3)], cases[("p2p1", 3)]]

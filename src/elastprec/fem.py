@@ -121,6 +121,25 @@ def build_space(mesh: Mesh, kind: str) -> DofSpace:
     )
 
 
+def _half_turns(points: np.ndarray):
+    """``sin(pi x), cos(pi x), sin(pi y), cos(pi y)`` at the points."""
+    x, y = points[:, 0], points[:, 1]
+    return np.sin(np.pi * x), np.cos(np.pi * x), np.sin(np.pi * y), np.cos(np.pi * y)
+
+
+def _sine_displacement(sx, cx, sy, cy) -> np.ndarray:
+    return np.column_stack([sx * cy, -cx * sy])
+
+
+def _sine_gradient(sx, cx, sy, cy) -> np.ndarray:
+    grad = np.empty((sx.shape[0], 2, 2))
+    grad[:, 0, 0] = np.pi * cx * cy
+    grad[:, 0, 1] = -np.pi * sx * sy
+    grad[:, 1, 0] = np.pi * sx * sy
+    grad[:, 1, 1] = -np.pi * cx * cy
+    return grad
+
+
 class ManufacturedProblem:
     """Smooth divergence-free benchmark displacement on the unit square.
 
@@ -131,23 +150,25 @@ class ManufacturedProblem:
     """
 
     def displacement(self, points: np.ndarray) -> np.ndarray:
-        x, y = points[:, 0], points[:, 1]
-        return np.column_stack([
-            np.sin(np.pi * x) * np.cos(np.pi * y),
-            -np.cos(np.pi * x) * np.sin(np.pi * y),
-        ])
+        return _sine_displacement(*_half_turns(points))
 
     def displacement_gradient(self, points: np.ndarray) -> np.ndarray:
         """Gradient tensor ``G[n, i, j] = d u_i / d x_j``."""
-        x, y = points[:, 0], points[:, 1]
-        sx, cx = np.sin(np.pi * x), np.cos(np.pi * x)
-        sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
-        grad = np.empty((points.shape[0], 2, 2))
-        grad[:, 0, 0] = np.pi * cx * cy
-        grad[:, 0, 1] = -np.pi * sx * sy
-        grad[:, 1, 0] = np.pi * sx * sy
-        grad[:, 1, 1] = -np.pi * cx * cy
-        return grad
+        return _sine_gradient(*_half_turns(points))
+
+    def displacement_and_gradient(self, points: np.ndarray):
+        """``(displacement(points), displacement_gradient(points))``.
+
+        The error norms read both at the same points, so the sines and
+        cosines are evaluated once, with the same values bit for bit.  A
+        subclass that overrides either method gets the two calls instead.
+        """
+        cls = type(self)
+        if (cls.displacement is not ManufacturedProblem.displacement
+                or cls.displacement_gradient is not ManufacturedProblem.displacement_gradient):
+            return self.displacement(points), self.displacement_gradient(points)
+        trig = _half_turns(points)
+        return _sine_displacement(*trig), _sine_gradient(*trig)
 
     def body_force(self, points: np.ndarray) -> np.ndarray:
         return np.pi**2 * self.displacement(points)
@@ -342,17 +363,48 @@ class AssembledSystem:
     rhs: np.ndarray
 
 
+def assemble_pressure(V: DofSpace, pressure_kind: str):
+    """Pressure space of ``pressure_kind`` on ``V``'s mesh, with ``B`` and ``MQ``.
+
+    Returns ``(Q, B, MQ)`` on the full dof sets: the part of a system that
+    depends on the pressure space.
+    """
+    Q = build_space(V.mesh, pressure_kind)
+    return Q, assemble_div(V, Q), assemble_pressure_mass(Q)
+
+
 def assemble_system(mesh: Mesh, pressure_kind: str = "p0",
                     problem: ManufacturedProblem | None = None) -> AssembledSystem:
     """Assemble stiffness, divergence, pressure mass and load in one go."""
     problem = problem if problem is not None else ManufacturedProblem()
     V = build_space(mesh, "p2v")
-    Q = build_space(mesh, pressure_kind)
+    Q, B, MQ = assemble_pressure(V, pressure_kind)
     A = assemble_epsilon_stiffness(V)
-    B = assemble_div(V, Q)
-    MQ = assemble_pressure_mass(Q)
     rhs = assemble_load(problem, V)
     return AssembledSystem(V=V, Q=Q, A=A, B=B, MQ=MQ, rhs=rhs)
+
+
+@dataclass
+class ReducedStiffness:
+    """Stiffness, load and boundary lift on the Dirichlet-free velocity dofs.
+
+    None of it depends on the pressure space, so the systems of both
+    element pairs on one mesh share one: ``couple`` adds a pressure space.
+    ``rhs_const`` is the load minus ``A`` applied to the lift.
+    """
+
+    V: DofSpace
+    free: np.ndarray
+    lift: np.ndarray
+    A: sp.csr_array
+    rhs_const: np.ndarray = field(repr=False)
+
+    def couple(self, Q: DofSpace, B: sp.csr_array,
+               MQ: sp.csr_array) -> ReducedSystem:
+        """The reduced system with pressure space ``Q``, from the full-dof
+        ``B`` and ``MQ`` of ``assemble_pressure``."""
+        return ReducedSystem(stiffness=self, Q=Q, B=B[:, self.free].tocsr(),
+                             MQ=MQ, _b_lift=B @ self.lift)
 
 
 @dataclass
@@ -363,17 +415,31 @@ class ReducedSystem:
     is derived from ``MQ``, or solves with ``MQ``.  The reduced right-hand
     side depends on the compressibility parameter through the lift, so it
     is exposed as ``rhs(lam)``; the lam-independent pieces are precomputed.
+    ``V``, ``free``, ``lift`` and ``A`` are those of ``stiffness``, which
+    other pressure spaces on the same mesh may share.
     """
 
-    V: DofSpace
+    stiffness: ReducedStiffness
     Q: DofSpace
-    free: np.ndarray
-    lift: np.ndarray
-    A: sp.csr_array
     B: sp.csr_array
     MQ: sp.csr_array
-    _rhs_const: np.ndarray = field(repr=False)
     _b_lift: np.ndarray = field(repr=False)
+
+    @property
+    def V(self) -> DofSpace:
+        return self.stiffness.V
+
+    @property
+    def free(self) -> np.ndarray:
+        return self.stiffness.free
+
+    @property
+    def lift(self) -> np.ndarray:
+        return self.stiffness.lift
+
+    @property
+    def A(self) -> sp.csr_array:
+        return self.stiffness.A
 
     @property
     def dim(self) -> int:
@@ -432,7 +498,7 @@ class ReducedSystem:
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
         lift_term = self.BT @ self.pressure_projection_apply(self._b_lift, projection)
-        return self._rhs_const - lam * lift_term
+        return self.stiffness.rhs_const - lam * lift_term
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
         """Recombine free-dof coefficients with the boundary lift."""
@@ -457,17 +523,14 @@ def apply_dirichlet(system: AssembledSystem,
     boundary_all = interpolate(system.V, problem.boundary_values)
     lift[constrained] = boundary_all[constrained]
 
-    return ReducedSystem(
+    stiffness = ReducedStiffness(
         V=system.V,
-        Q=system.Q,
         free=free,
         lift=lift,
         A=system.A[free][:, free].tocsr(),
-        B=system.B[:, free].tocsr(),
-        MQ=system.MQ,
-        _rhs_const=(system.rhs - system.A @ lift)[free],
-        _b_lift=system.B @ lift,
+        rhs_const=(system.rhs - system.A @ lift)[free],
     )
+    return stiffness.couple(system.Q, system.B, system.MQ)
 
 
 def compute_errors(u_coeffs: np.ndarray, problem: ManufacturedProblem,
@@ -478,7 +541,8 @@ def compute_errors(u_coeffs: np.ndarray, problem: ManufacturedProblem,
     The cell coefficients meet the reference P2 values and gradients in
     one matmul each, and each cell maps its reference gradients with its
     own inverse-transpose Jacobian.  The mesh data is cached on ``V``; the
-    exact field is evaluated per call, since it belongs to ``problem``.
+    exact field and its gradient are evaluated together, once per call,
+    since they belong to ``problem``.
     """
     if V.kind != "p2v":
         raise ValueError("error evaluation requires the quadratic vector space")
@@ -494,9 +558,9 @@ def compute_errors(u_coeffs: np.ndarray, problem: ManufacturedProblem,
     uh = (coeffs @ values).reshape(nt, nq, 2)
     guh = (coeffs @ grads).reshape(nt, 2 * nq, 2) @ inv_t.transpose(0, 2, 1)
 
-    du = uh - problem.displacement(points).reshape(nt, nq, 2)
-    dg = (guh - problem.displacement_gradient(points).reshape(nt, 2 * nq, 2)
-          ).reshape(nt, nq, 4)
+    u, grad = problem.displacement_and_gradient(points)
+    du = uh - u.reshape(nt, nq, 2)
+    dg = (guh - grad.reshape(nt, 2 * nq, 2)).reshape(nt, nq, 4)
     l2 = np.sqrt(np.einsum("tq,tqc,tqc->", w, du, du))
     h1 = np.sqrt(np.einsum("tq,tqk,tqk->", w, dg, dg))
     return float(l2), float(h1)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from elastprec.bench import (ExperimentConfig, emit_report, poisson_to_lambda,
                              run_table_experiment, run_verification_suite)
 from elastprec.fem import ReducedSystem
 from elastprec.solver import PcgConvergenceError, SpectrumError
+from elastprec.sparse_linalg import NotSpdError
 from elastprec import bench, cli, mesh, solver
 
 
@@ -150,7 +152,8 @@ def test_unknown_format_rejected(small_result):
         emit_report(small_result, "yaml")
 
 
-def test_verification_suite_all_green():
+def test_verification_suite_all_green(monkeypatch):
+    factored = _count_stiffness_factors(monkeypatch)
     outcomes = run_verification_suite(seed=0)
     names = {o.name for o in outcomes}
     assert {"fourier-convex-combination", "inf-sup", "norm-equivalence",
@@ -161,6 +164,94 @@ def test_verification_suite_all_green():
     # beta_h at L2-L5 of both pairs
     (inf_sup,) = [o for o in outcomes if o.name == "inf-sup"]
     assert inf_sup.detail.count("L5=") == 2 and inf_sup.detail.count("L4=") == 2
+    # both pairs share one factor of A per level: L2-L3 for the suite, L4-L5
+    # for the inf-sup check
+    assert len(factored) == 4 and len(set(factored)) == 4
+
+
+# ---------------------------------------------------------------------------
+# the level part that both pairs share
+
+def _count_stiffness_factors(monkeypatch) -> list:
+    """Wrap ``bench.factor_spd``; the list gets the size of each matrix."""
+    sizes = []
+    original = bench.factor_spd
+
+    def counting(matrix, order=None):
+        sizes.append(matrix.shape[0])
+        return original(matrix, order)
+
+    monkeypatch.setattr(bench, "factor_spd", counting)
+    return sizes
+
+
+def test_table_factors_stiffness_once_per_level(monkeypatch):
+    factored = _count_stiffness_factors(monkeypatch)
+    result = run_table_experiment(ExperimentConfig(levels=(2, 3), nu_values=(0.4999,)))
+    assert all(c.error is None for c in result.cells)
+    assert len(factored) == 2 and factored[0] < factored[1]
+    # listed pair by pair, as before the levels ran outermost
+    order = [("p2p0", 2), ("p2p0", 3), ("p2p1", 2), ("p2p1", 3)]
+    assert [(c.pair, c.level) for c in result.cells] == order
+    assert [(s.pair, s.level) for s in result.setups] == order
+
+
+def _assert_same_csr(a, b):
+    a, b = a.tocsr(), b.tocsr()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_handed_off_case_equals_lone_case(level):
+    parts = {}
+    first = bench._prepare_sharing(level, "p2p0", parts)
+    shared = bench._prepare_sharing(level, "p2p1", parts)
+    lone = bench.prepare_case(level, "p2p1")
+    assert shared.a_factor is first.a_factor is parts[level].a_factor
+    assert shared.reduced.stiffness is first.reduced.stiffness
+    for name in ("A", "B", "MQ"):
+        _assert_same_csr(getattr(shared.reduced, name), getattr(lone.reduced, name))
+    for lam in (0.0, 2499.5):
+        np.testing.assert_array_equal(shared.rhs(lam), lone.rhs(lam))
+    np.testing.assert_array_equal(shared.a_factor.order, lone.a_factor.order)
+    np.testing.assert_array_equal(shared.projector.factorization.order,
+                                  lone.projector.factorization.order)
+    assert shared.a_factor.nnz == lone.a_factor.nnz
+    assert shared.projector.factorization.nnz == lone.projector.factorization.nnz
+    for nu in (0.25, 0.4999):
+        got, want = (dataclasses.asdict(bench.solve_cell(case, nu))
+                     for case in (shared, lone))
+        got.pop("wall_time")
+        want.pop("wall_time")
+        assert got == want
+
+
+def test_stiffness_failure_fails_both_pairs_of_its_level(monkeypatch):
+    original = bench.factor_spd
+    l2_size = bench.prepare_case(2).reduced.dim
+
+    def indefinite_at_l2(matrix, order=None):
+        return original(-matrix if matrix.shape[0] == l2_size else matrix, order)
+
+    monkeypatch.setattr(bench, "factor_spd", indefinite_at_l2)
+    with pytest.raises(NotSpdError) as lone:
+        bench.prepare_case(2, "p2p1")
+    config = ExperimentConfig(levels=(2, 3), nu_values=(0.25, 0.4999))
+    result = run_table_experiment(config)
+    for pair in config.pairs:
+        for nu in config.nu_values:
+            assert result.cell(pair, 2, nu).error == f"set-up failed: {lone.value}"
+            assert result.cell(pair, 3, nu).error is None
+    assert [s.setup_s is None for s in result.setups] == [True, False, True, False]
+
+
+def test_second_pair_saddle_failure_keeps_first_pair():
+    # the L0 Taylor-Hood saddle is singular; p2p0 at L0 and L1 is not
+    result = run_table_experiment(ExperimentConfig(levels=(0, 1), nu_values=(0.25,)))
+    errors = {(c.pair, c.level): c.error for c in result.cells}
+    assert errors[("p2p1", 0)].startswith("set-up failed: matrix is numerically singular")
+    assert all(errors[key] is None for key in errors if key != ("p2p1", 0))
 
 
 # ---------------------------------------------------------------------------

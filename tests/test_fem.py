@@ -67,6 +67,14 @@ def test_displacement_gradient_matches_symbolic():
                                        atol=1e-12)
 
 
+def test_displacement_and_gradient_equal_the_separate_fields():
+    pts = np.random.default_rng(9).uniform(0, 1, size=(40, 2))
+    for problem in (ManufacturedProblem(), _QuadraticProblem()):
+        u, grad = problem.displacement_and_gradient(pts)
+        np.testing.assert_array_equal(u, problem.displacement(pts))
+        np.testing.assert_array_equal(grad, problem.displacement_gradient(pts))
+
+
 # ---------------------------------------------------------------------------
 # dof spaces
 
@@ -367,9 +375,12 @@ def test_lambda_operator_on_divergence_free_field(case_p2p0_l2):
     system = case_p2p0_l2.reduced
     rng = np.random.default_rng(7)
     v = case_p2p0_l2.projector.project(rng.standard_normal(system.dim))
+    av = system.A @ v
+    # an absolute bound on the scale of A v (the deviation seen is 5e-12
+    # at lam = 2499.5 against max |A v| = 7.9); rtol=0, so it is not widened
     for lam in (0.0, 1.0, 2499.5):
-        np.testing.assert_allclose(system.apply_lambda(lam, v),
-                                   system.A @ v, atol=1e-12)
+        np.testing.assert_allclose(system.apply_lambda(lam, v), av, rtol=0,
+                                   atol=1e-10 * np.abs(av).max())
 
 
 @pytest.mark.parametrize("pressure", ["p0", "p1"])

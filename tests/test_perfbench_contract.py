@@ -61,3 +61,28 @@ def test_traced_workload_passes_gate_and_restores(name):
     metrics = spans.layer_metrics(recorder.spans)
     assert metrics["fem.assemble_s"] > 0.0
     assert metrics["sparse_linalg.factor_A_s"] > 0.0
+
+
+def test_table_times_each_stiffness_factor_inside_a_set_up():
+    # setup_s sums the top-level prepare_case spans, so the level part that
+    # both pairs share must be built inside one of them to be timed
+    config = bench.ExperimentConfig(levels=(2, 3))
+    recorder = spans.Recorder(0)
+    recorder.install(traced=True)
+    try:
+        workloads.WORKLOADS["table"].run(config)
+    finally:
+        recorder.restore()
+
+    names = [s[spans.NAME] for s in recorder.spans]
+    assert names.count("bench.prepare_case") == len(config.pairs) * len(config.levels)
+    assert sorted(recorder.cases) == sorted((pair, level) for pair in config.pairs
+                                            for level in config.levels)
+    factors = [s for s in recorder.spans if s[spans.NAME] == "sparse_linalg.factor_A"]
+    assert len(factors) == len(config.levels)
+    for span in factors:
+        ancestors = []
+        while span[spans.PARENT] is not None:
+            span = recorder.spans[span[spans.PARENT]]
+            ancestors.append(span[spans.NAME])
+        assert "bench.prepare_case" in ancestors
