@@ -16,8 +16,8 @@
 # %%
 import numpy as np
 
-from elastprec import (assemble_system, build_space, build_uniform_mesh,
-                       interpolate)
+from elastprec import (assemble_div, assemble_pressure_mass, assemble_system,
+                       build_space, build_uniform_mesh, interpolate)
 
 mesh = build_uniform_mesh(3)
 print(f"level {mesh.level}: h = {mesh.h}")
@@ -46,16 +46,21 @@ for kind in ("p0", "p1"):
     print(f"pressure dofs ({kind}):", build_space(mesh, kind).dof_count)
 
 # %% [markdown]
-# `assemble_system` builds the strain stiffness $A$, the divergence coupling
-# $B$, the pressure mass $M_Q$, whose diagonal $D$ is the surrogate of the
-# pressure projection, and the load vector of the built-in manufactured
-# problem.
+# `assemble_system` builds the strain stiffness $A$ and the load vector of
+# the built-in manufactured problem; neither depends on the pressure space.
+# Each pressure space adds the divergence coupling $B$ and the pressure mass
+# $M_Q$, whose diagonal $D$ is the surrogate of the pressure projection:
+# exact for `p0`, whose mass is diagonal, but not for `p1`.
 
 # %%
-system = assemble_system(mesh, "p0")
+system = assemble_system(mesh)
 print("A:", system.A.shape, "nnz", system.A.nnz)
-print("B:", system.B.shape, "nnz", system.B.nnz)
-print("MQ diagonal?", (system.MQ - system.MQ.T).nnz == 0, "| D =", system.MQ.diagonal()[0])
+for kind in ("p0", "p1"):
+    Q = build_space(mesh, kind)
+    B, MQ = assemble_div(V, Q), assemble_pressure_mass(Q)
+    diagonal = MQ.count_nonzero() == np.count_nonzero(MQ.diagonal())
+    print(f"{kind}: B {B.shape} nnz {B.nnz} | MQ diagonal? {diagonal}",
+          f"| D = {MQ.diagonal()[0]:.6g}")
 
 # %% [markdown]
 # Two sanity identities: the strain energy of $u = (x, 0)$ is exactly 1 on

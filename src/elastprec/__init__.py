@@ -12,8 +12,8 @@ from .mesh import Mesh, build_uniform_mesh, dump_mesh
 from .fem import (AssembledSystem, DofSpace, ManufacturedProblem,
                   ReducedStiffness, ReducedSystem, apply_dirichlet,
                   assemble_div, assemble_epsilon_stiffness, assemble_load,
-                  assemble_pressure, assemble_pressure_mass, assemble_system,
-                  build_space, compute_errors, interpolate)
+                  assemble_pressure_mass, assemble_system, build_space,
+                  compute_errors, interpolate)
 from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,
                             factor_spd, factor_symmetric_indefinite,
                             saddle_order)

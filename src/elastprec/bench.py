@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, fourier
-from .fem import (PROJECTION_MODES, ManufacturedProblem, ReducedStiffness,
-                  apply_dirichlet, assemble_pressure, assemble_system,
+from .fem import (DEFAULT_PROJECTION, PROJECTION_MODES, ManufacturedProblem,
+                  ReducedStiffness, apply_dirichlet, assemble_system,
                   compute_errors)
 from .mesh import (MAX_LEVEL, NestedDissection, build_uniform_mesh,
                    check_mesh_memory, nested_dissection)
@@ -61,7 +61,7 @@ class ExperimentConfig:
     nu_values: tuple = NU_DEFAULT
     tolerance: float = 1e-6
     max_level_guard: int = 6
-    projection: str = "diagonal"
+    projection: str = DEFAULT_PROJECTION
 
     def __post_init__(self):
         if self.projection not in PROJECTION_MODES:
@@ -134,7 +134,7 @@ class BenchResult:
 
     def cell(self, pair: str, level: int, nu: float) -> BenchCell:
         for c in self.cells:
-            if c.pair == pair and c.level == level and np.isclose(c.nu, nu):
+            if c.pair == pair and c.level == level and c.nu == nu:
                 return c
         raise KeyError(f"no cell for ({pair}, L={level}, nu={nu})")
 
@@ -150,7 +150,7 @@ class PreparedCase:
     a_factor: object
     projector: object
     problem: ManufacturedProblem
-    projection: str = "diagonal"
+    projection: str = DEFAULT_PROJECTION
 
     def operator(self, lam: float):
         return lambda v: self.reduced.apply_lambda(lam, v, self.projection)
@@ -187,66 +187,59 @@ def pressure_kind(pair: str) -> str:
     return "p0" if pair == "p2p0" else "p1"
 
 
-@dataclass
 class _LevelPart:
     """The pressure-free set-up of one level, which both pairs share.
 
-    The reduced stiffness and load, the nested dissection of the free
-    velocity nodes and the factor of ``A`` in its order.  It holds no
+    The manufactured problem, the reduced stiffness and load, the nested
+    dissection of the free velocity nodes and the factor of ``A`` in its
+    order, each built the first time it is read and then kept.  A build
+    that raises keeps nothing, so the next read tries again.  It holds no
     pressure space and no saddle factor.
     """
 
-    problem: ManufacturedProblem
-    stiffness: ReducedStiffness
-    dissection: NestedDissection
-    a_factor: Factorization
+    def __init__(self, level: int):
+        self.level = level
+        self.problem = ManufacturedProblem()
+
+    @cached_property
+    def stiffness(self) -> ReducedStiffness:
+        # the full-dof system is a temporary, freed before the factorizations run
+        return apply_dirichlet(
+            assemble_system(build_uniform_mesh(self.level), self.problem), self.problem)
+
+    @cached_property
+    def dissection(self) -> NestedDissection:
+        # free dofs are blocked by component, so free node k owns dofs k and m + k
+        stiffness = self.stiffness
+        m = stiffness.free.size // 2
+        return nested_dissection(stiffness.V.dof_points[stiffness.free[:m]],
+                                 stiffness.V.mesh.h)
+
+    @cached_property
+    def a_factor(self) -> Factorization:
+        # each node's two dofs stay adjacent in the nested-dissection order
+        nodes = self.dissection.order
+        return factor_spd(self.stiffness.A,
+                          np.column_stack([nodes, nodes + nodes.size]).ravel())
 
 
 def prepare_case(level: int, pair: str = "p2p0",
-                 problem: ManufacturedProblem | None = None,
-                 projection: str = "diagonal", *,
+                 projection: str = DEFAULT_PROJECTION, *,
                  _shared: _LevelPart | None = None) -> PreparedCase:
     """Assemble and factor everything lam-independent for one case.
 
-    ``_shared`` is the level part of a case of another pair at the same
-    level and with the same problem (see ``_prepare_sharing``).  Given it,
-    only the pressure side is built: ``B``, ``MQ`` and the saddle factor.
+    ``_shared`` is the level part of ``level`` that other pairs' cases
+    share; without it the case builds one of its own.  Whatever of the
+    part is not built yet, the stiffness factor included, is built here.
     """
     kind = pressure_kind(pair)
-    if _shared is None:
-        problem = problem if problem is not None else ManufacturedProblem()
-        # the full-dof system is a temporary, freed before the factorizations run
-        reduced = apply_dirichlet(
-            assemble_system(build_uniform_mesh(level), kind, problem), problem)
-        # free dofs are blocked by component, so free node k owns dofs k and m + k;
-        # each node's two dofs stay adjacent in the nested-dissection order
-        m = reduced.dim // 2
-        dissection = nested_dissection(reduced.V.dof_points[reduced.free[:m]],
-                                       reduced.V.mesh.h)
-        nodes = dissection.order
-        a_factor = factor_spd(reduced.A, np.column_stack([nodes, nodes + m]).ravel())
-    else:
-        problem, stiffness = _shared.problem, _shared.stiffness
-        dissection, a_factor = _shared.dissection, _shared.a_factor
-        reduced = stiffness.couple(*assemble_pressure(stiffness.V, kind))
+    part = _shared if _shared is not None else _LevelPart(level)
+    reduced = part.stiffness.couple(kind)
     return PreparedCase(
-        pair=pair, level=level, reduced=reduced, dissection=dissection,
-        a_factor=a_factor, projector=build_projector(reduced, a_factor, dissection),
-        problem=problem, projection=projection)
-
-
-def _prepare_sharing(level: int, pair: str, parts: dict,
-                     problem: ManufacturedProblem | None = None,
-                     projection: str = "diagonal") -> PreparedCase:
-    """``prepare_case`` with the level part kept in ``parts`` (level -> part).
-
-    The first case of a level builds the part and leaves it there; the
-    next cases of that level are handed it, never a previous case.
-    """
-    case = prepare_case(level, pair, problem, projection, _shared=parts.get(level))
-    parts.setdefault(level, _LevelPart(case.problem, case.reduced.stiffness,
-                                       case.dissection, case.a_factor))
-    return case
+        pair=pair, level=level, reduced=reduced, dissection=part.dissection,
+        a_factor=part.a_factor,
+        projector=build_projector(reduced, part.a_factor, part.dissection),
+        problem=part.problem, projection=projection)
 
 
 def sharpened_condition_estimate(case: PreparedCase, lam: float) -> float:
@@ -285,17 +278,18 @@ def solve_cell(case: PreparedCase, nu: float, tolerance: float = 1e-6) -> BenchC
     return cell
 
 
-def _run_pair(config: ExperimentConfig, problem: ManufacturedProblem | None,
-              level: int, pair: str, parts: dict) -> tuple[BenchSetup, list]:
-    """Set up one (pair, level) and solve its cells.
+def _run_pair(config: ExperimentConfig, part: _LevelPart,
+              pair: str) -> tuple[BenchSetup, list]:
+    """Set up one (pair, level) on the level part ``part`` and solve its cells.
 
     The case dies on return, so its saddle factor is freed before the next
     pair's is built.
     """
+    level = part.level
     setup = BenchSetup(pair=pair, level=level)
     started = time.perf_counter()
     try:
-        case = _prepare_sharing(level, pair, parts, problem, config.projection)
+        case = prepare_case(level, pair, config.projection, _shared=part)
     except _NUMERICAL_ERRORS as exc:
         return setup, [BenchCell(pair=pair, level=level, nu=nu,
                                  lam=poisson_to_lambda(nu),
@@ -310,23 +304,22 @@ def _run_pair(config: ExperimentConfig, problem: ManufacturedProblem | None,
     return setup, cells
 
 
-def run_table_experiment(config: ExperimentConfig,
-                         problem: ManufacturedProblem | None = None) -> BenchResult:
+def run_table_experiment(config: ExperimentConfig) -> BenchResult:
     """Fill the full (pair, level, nu) grid of the configuration.
 
-    Levels run outermost.  The first pair of a level builds the level part
-    (mesh, ``A``, load, dissection and the factor of ``A``) in its
-    ``prepare_case``, and the next pairs' ``prepare_case`` are handed it,
-    so ``A`` is factored once per level and at most one saddle factor is
-    alive.  Cells and set-ups are still listed pair by pair.  Each (pair,
-    level) records one set-up.  A (pair, level) whose set-up fails records
-    that error on each of its cells, and the sweep goes on.
+    Levels run outermost.  Every pair of a level is handed one level part,
+    which the first pair's ``prepare_case`` builds (mesh, ``A``, load,
+    dissection and the factor of ``A``), so ``A`` is factored once per
+    level and at most one saddle factor is alive.  Cells and set-ups are
+    still listed pair by pair.  Each (pair, level) records one set-up.  A
+    (pair, level) whose set-up fails records that error on each of its
+    cells, and the sweep goes on.
     """
     grid = [[None] * len(config.levels) for _ in config.pairs]
     for j, level in enumerate(config.levels):
-        parts = {}
+        part = _LevelPart(level)
         for i, pair in enumerate(config.pairs):
-            grid[i][j] = _run_pair(config, problem, level, pair, parts)
+            grid[i][j] = _run_pair(config, part, pair)
     runs = [run for row in grid for run in row]
     return BenchResult(config=config, cells=[c for _, cells in runs for c in cells],
                        setups=[setup for setup, _ in runs])
@@ -363,7 +356,7 @@ def _emit_markdown(result: BenchResult) -> str:
                             ("condition", "Condition number of the preconditioned operator")):
             out.append(f"## {title} ({pair})")
             out.append("")
-            header = ["h = 2^-L"] + [f"ν = {nu:g}" for nu in cfg.nu_values]
+            header = ["h = 2^-L"] + [f"ν = {nu!r}" for nu in cfg.nu_values]
             out.append("| " + " | ".join(header) + " |")
             out.append("|" + "---|" * len(header))
             for level in cfg.levels:
@@ -529,10 +522,11 @@ def _check_inf_sup(inf_sup) -> str:
     ``inf_sup`` holds the L2-L3 reports.  Their largest-end pencil runs
     are costly beyond L3, because the eigenvalues crowd towards 1 (at L5,
     over 30k ``A`` solves), so the finer levels read beta_h alone: the
-    smallest-end run of the same pencil, prepared here.
+    smallest-end run of the same pencil, on a level part built here and
+    coupled to each pair's pressure space; no saddle is factored for it.
     """
     details = []
-    parts = {}
+    parts = {level: _LevelPart(level) for level in _INF_SUP_LEVELS}
     for pair, reports in inf_sup.items():
         betas = {}
         for level, r in reports.items():
@@ -541,9 +535,10 @@ def _check_inf_sup(inf_sup) -> str:
             betas[level] = r.beta_h
         for level in _INF_SUP_LEVELS:
             if level not in betas:
-                case = _prepare_sharing(level, pair, parts)
-                betas[level] = float(np.sqrt(schur_pencil_eigenvalue(case.reduced,
-                                                                     case.a_factor)))
+                part = parts[level]
+                reduced = part.stiffness.couple(pressure_kind(pair))
+                betas[level] = float(np.sqrt(schur_pencil_eigenvalue(
+                    reduced, part.a_factor, "exact")))
         levels = sorted(betas)
         spread = abs(betas[levels[-1]] - betas[levels[0]]) / betas[levels[-1]]
         _require(spread < 0.2, f"{pair}: inf-sup varies by {spread:.1%} across levels")
@@ -652,8 +647,8 @@ def run_fourier_checks(seed: int = 0) -> list[CheckOutcome]:
 def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
     """Run every identity/property check; returns one outcome per check."""
     rng = np.random.default_rng(seed)
-    parts = {}
-    cases = {(pair, level): _prepare_sharing(level, pair, parts)
+    parts = {level: _LevelPart(level) for level in (2, 3)}
+    cases = {(pair, level): prepare_case(level, pair, _shared=parts[level])
              for pair in PAIRS for level in (2, 3)}
     l23 = list(cases.values())
     l3 = [cases[("p2p0", 3)], cases[("p2p1", 3)]]

@@ -349,39 +349,29 @@ def assemble_load(problem: ManufacturedProblem, V: DofSpace) -> np.ndarray:
 
 
 PROJECTION_MODES = ("diagonal", "exact")
+# the realization of the pressure projection that every signature defaults to
+DEFAULT_PROJECTION = "diagonal"
 
 
 @dataclass
 class AssembledSystem:
-    """Operators and load on the full dof set, read by ``apply_dirichlet``."""
+    """Stiffness and load on the full dof set, read by ``apply_dirichlet``."""
 
     V: DofSpace
-    Q: DofSpace
     A: sp.csr_array
-    B: sp.csr_array
-    MQ: sp.csr_array
     rhs: np.ndarray
 
 
-def assemble_pressure(V: DofSpace, pressure_kind: str):
-    """Pressure space of ``pressure_kind`` on ``V``'s mesh, with ``B`` and ``MQ``.
-
-    Returns ``(Q, B, MQ)`` on the full dof sets: the part of a system that
-    depends on the pressure space.
-    """
-    Q = build_space(V.mesh, pressure_kind)
-    return Q, assemble_div(V, Q), assemble_pressure_mass(Q)
-
-
-def assemble_system(mesh: Mesh, pressure_kind: str = "p0",
+def assemble_system(mesh: Mesh,
                     problem: ManufacturedProblem | None = None) -> AssembledSystem:
-    """Assemble stiffness, divergence, pressure mass and load in one go."""
+    """Assemble the strain stiffness and the load of ``problem``.
+
+    Both are pressure-free; ``ReducedStiffness.couple`` adds a pressure space.
+    """
     problem = problem if problem is not None else ManufacturedProblem()
     V = build_space(mesh, "p2v")
-    Q, B, MQ = assemble_pressure(V, pressure_kind)
-    A = assemble_epsilon_stiffness(V)
-    rhs = assemble_load(problem, V)
-    return AssembledSystem(V=V, Q=Q, A=A, B=B, MQ=MQ, rhs=rhs)
+    return AssembledSystem(V=V, A=assemble_epsilon_stiffness(V),
+                           rhs=assemble_load(problem, V))
 
 
 @dataclass
@@ -399,12 +389,14 @@ class ReducedStiffness:
     A: sp.csr_array
     rhs_const: np.ndarray = field(repr=False)
 
-    def couple(self, Q: DofSpace, B: sp.csr_array,
-               MQ: sp.csr_array) -> ReducedSystem:
-        """The reduced system with pressure space ``Q``, from the full-dof
-        ``B`` and ``MQ`` of ``assemble_pressure``."""
+    def couple(self, pressure_kind: str) -> ReducedSystem:
+        """The reduced system with a pressure space of ``pressure_kind``
+        ("p0" or "p1") on this mesh: builds the space, assembles ``B`` and
+        ``MQ`` and reduces ``B`` against the free dofs and the lift."""
+        Q = build_space(self.V.mesh, pressure_kind)
+        B = assemble_div(self.V, Q)
         return ReducedSystem(stiffness=self, Q=Q, B=B[:, self.free].tocsr(),
-                             MQ=MQ, _b_lift=B @ self.lift)
+                             MQ=assemble_pressure_mass(Q), _b_lift=B @ self.lift)
 
 
 @dataclass
@@ -461,7 +453,7 @@ class ReducedSystem:
         return factor_spd(self.MQ)
 
     def pressure_projection_apply(self, w: np.ndarray,
-                                  projection: str = "diagonal") -> np.ndarray:
+                                  projection: str = DEFAULT_PROJECTION) -> np.ndarray:
         if projection == "diagonal":
             # scale rows, so a block of columns (nq, k) is handled per column
             return (w.T / self.D).T
@@ -471,7 +463,7 @@ class ReducedSystem:
                          f"expected one of {PROJECTION_MODES}")
 
     def apply_lambda(self, lam: float, v: np.ndarray,
-                     projection: str = "diagonal") -> np.ndarray:
+                     projection: str = DEFAULT_PROJECTION) -> np.ndarray:
         """Apply ``A_lam`` without forming the product."""
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
@@ -479,7 +471,7 @@ class ReducedSystem:
         return self.A @ v + lam * (self.BT @ pv)
 
     def lambda_matrix(self, lam: float,
-                      projection: str = "diagonal") -> sp.csr_array:
+                      projection: str = DEFAULT_PROJECTION) -> sp.csr_array:
         """Explicit sparse ``A_lam`` (only needed for direct factorization).
 
         With ``projection="exact"`` the triple product fills in; that path is
@@ -494,7 +486,7 @@ class ReducedSystem:
                 self.pressure_projection_apply(self.B.toarray(), projection))
         return (self.A + lam * (self.BT @ scaled)).tocsr()
 
-    def rhs(self, lam: float, projection: str = "diagonal") -> np.ndarray:
+    def rhs(self, lam: float, projection: str = DEFAULT_PROJECTION) -> np.ndarray:
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
         lift_term = self.BT @ self.pressure_projection_apply(self._b_lift, projection)
@@ -508,7 +500,7 @@ class ReducedSystem:
 
 
 def apply_dirichlet(system: AssembledSystem,
-                    problem: ManufacturedProblem) -> ReducedSystem:
+                    problem: ManufacturedProblem) -> ReducedStiffness:
     """Eliminate boundary dofs against the interpolated boundary data.
 
     Boundary values are interpolated at the quadratic nodes (vertices and
@@ -523,14 +515,13 @@ def apply_dirichlet(system: AssembledSystem,
     boundary_all = interpolate(system.V, problem.boundary_values)
     lift[constrained] = boundary_all[constrained]
 
-    stiffness = ReducedStiffness(
+    return ReducedStiffness(
         V=system.V,
         free=free,
         lift=lift,
         A=system.A[free][:, free].tocsr(),
         rhs_const=(system.rhs - system.A @ lift)[free],
     )
-    return stiffness.couple(system.Q, system.B, system.MQ)
 
 
 def compute_errors(u_coeffs: np.ndarray, problem: ManufacturedProblem,

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .fem import ReducedSystem
+from .fem import DEFAULT_PROJECTION, ReducedSystem
 from .mesh import NestedDissection
 from .sparse_linalg import (Factorization, factor_symmetric_indefinite,
                             saddle_order)
@@ -217,7 +217,7 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
 
 
 def schur_pencil_eigenvalue(reduced: ReducedSystem, a_factor: Factorization,
-                            projection: str = "exact",
+                            projection: str = DEFAULT_PROJECTION,
                             largest: bool = False) -> float:
     """Extreme nonzero eigenvalue of the pencil ``B A^{-1} B^T q = theta W q``.
 
@@ -274,9 +274,9 @@ def measure_inf_sup(reduced: ReducedSystem, a_factor: Factorization) -> InfSupRe
     ``B A^{-1} B^T q = theta MQ q``, ``theta_max`` its largest; ``a_factor``
     is the factor of ``reduced.A``.
     """
-    theta_min = schur_pencil_eigenvalue(reduced, a_factor)
+    theta_min = schur_pencil_eigenvalue(reduced, a_factor, "exact")
     return InfSupReport(beta_h=float(np.sqrt(theta_min)),
-                        theta_max=schur_pencil_eigenvalue(reduced, a_factor,
+                        theta_max=schur_pencil_eigenvalue(reduced, a_factor, "exact",
                                                           largest=True))
 
 
@@ -316,7 +316,7 @@ def dense_preconditioner_matrix(reduced: ReducedSystem, lam: float,
 def dense_preconditioned_spectrum(reduced: ReducedSystem, lam: float,
                                   a_factor: Factorization,
                                   projector: StokesProjector,
-                                  projection: str = "diagonal") -> np.ndarray:
+                                  projection: str = DEFAULT_PROJECTION) -> np.ndarray:
     """Eigenvalues of the preconditioned operator ``M A_lam``, ascending.
 
     Uses the congruence ``eig(M A_lam) = eig(R^T A_lam R)`` with

@@ -147,6 +147,64 @@ def test_cell_lookup(small_result):
         small_result.cell("p2p0", 2, 0.3)
 
 
+def test_cell_lookup_and_header_tell_close_nu_apart():
+    # 0.4999999 lies within np.isclose's default rtol of 0.499999, and the
+    # general format would print it as 0.5, a value the config rejects
+    config = ExperimentConfig(pairs=("p2p1",), levels=(3,),
+                              nu_values=(0.499999, 0.4999999))
+    result = run_table_experiment(config)
+    for nu in config.nu_values:
+        cell = result.cell("p2p1", 3, nu)
+        assert cell.nu == nu and cell.lam == poisson_to_lambda(nu)
+    text = emit_report(result, "markdown")
+    assert text.count("| h = 2^-L | ν = 0.499999 | ν = 0.4999999 |") == 2
+    zero = run_table_experiment(ExperimentConfig(pairs=("p2p0",), levels=(2,),
+                                                 nu_values=(0.0,)))
+    assert zero.cell("p2p0", 2, 0.0).lam == 0.0
+    with pytest.raises(KeyError):
+        zero.cell("p2p0", 2, 1e-9)
+
+
+# the default markdown of levels 2-3; every condition number printed here
+# lies at least 4e-5 from a rounding boundary of its two decimals
+TABLE_L23 = """\
+# Preconditioned elasticity benchmark (tol = 1e-06)
+
+## Iterations (p2p0)
+
+| h = 2^-L | ν = 0.25 | ν = 0.4 | ν = 0.49 | ν = 0.499 | ν = 0.4999 |
+|---|---|---|---|---|---|
+| L = 2 | 4 | 5 | 6 | 6 | 6 |
+| L = 3 | 4 | 5 | 6 | 6 | 6 |
+
+## Condition number of the preconditioned operator (p2p0)
+
+| h = 2^-L | ν = 0.25 | ν = 0.4 | ν = 0.49 | ν = 0.499 | ν = 0.4999 |
+|---|---|---|---|---|---|
+| L = 2 | 1.23 | 1.61 | 2.21 | 2.31 | 2.32 |
+| L = 3 | 1.25 | 1.67 | 2.38 | 2.50 | 2.52 |
+
+## Iterations (p2p1)
+
+| h = 2^-L | ν = 0.25 | ν = 0.4 | ν = 0.49 | ν = 0.499 | ν = 0.4999 |
+|---|---|---|---|---|---|
+| L = 2 | 5 | 5 | 5 | 5 | 5 |
+| L = 3 | 6 | 9 | 12 | 12 | 12 |
+
+## Condition number of the preconditioned operator (p2p1)
+
+| h = 2^-L | ν = 0.25 | ν = 0.4 | ν = 0.49 | ν = 0.499 | ν = 0.4999 |
+|---|---|---|---|---|---|
+| L = 2 | 1.57 | 2.93 | 8.20 | 10.21 | 10.47 |
+| L = 3 | 1.76 | 3.59 | 10.67 | 13.38 | 13.73 |
+"""
+
+
+def test_markdown_of_levels_2_3_is_pinned():
+    result = run_table_experiment(ExperimentConfig(levels=(2, 3)))
+    assert emit_report(result, "markdown") == TABLE_L23
+
+
 def test_unknown_format_rejected(small_result):
     with pytest.raises(ValueError):
         emit_report(small_result, "yaml")
@@ -154,6 +212,14 @@ def test_unknown_format_rejected(small_result):
 
 def test_verification_suite_all_green(monkeypatch):
     factored = _count_stiffness_factors(monkeypatch)
+    saddles = []
+    original_saddle = solver.factor_symmetric_indefinite
+
+    def counting_saddle(matrix, order):
+        saddles.append(matrix.shape[0])
+        return original_saddle(matrix, order)
+
+    monkeypatch.setattr(solver, "factor_symmetric_indefinite", counting_saddle)
     outcomes = run_verification_suite(seed=0)
     names = {o.name for o in outcomes}
     assert {"fourier-convex-combination", "inf-sup", "norm-equivalence",
@@ -167,6 +233,8 @@ def test_verification_suite_all_green(monkeypatch):
     # both pairs share one factor of A per level: L2-L3 for the suite, L4-L5
     # for the inf-sup check
     assert len(factored) == 4 and len(set(factored)) == 4
+    # one saddle per pair at L2-L3; beta_h at L4-L5 needs none
+    assert len(saddles) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +272,12 @@ def _assert_same_csr(a, b):
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_handed_off_case_equals_lone_case(level):
-    parts = {}
-    first = bench._prepare_sharing(level, "p2p0", parts)
-    shared = bench._prepare_sharing(level, "p2p1", parts)
+    part = bench._LevelPart(level)
+    first = bench.prepare_case(level, "p2p0", _shared=part)
+    shared = bench.prepare_case(level, "p2p1", _shared=part)
     lone = bench.prepare_case(level, "p2p1")
-    assert shared.a_factor is first.a_factor is parts[level].a_factor
-    assert shared.reduced.stiffness is first.reduced.stiffness
+    assert shared.a_factor is first.a_factor is part.a_factor
+    assert shared.reduced.stiffness is first.reduced.stiffness is part.stiffness
     for name in ("A", "B", "MQ"):
         _assert_same_csr(getattr(shared.reduced, name), getattr(lone.reduced, name))
     for lam in (0.0, 2499.5):

@@ -359,8 +359,8 @@ def test_assembly_matches_per_cell_reference(jitter, level):
 
 def _small_system(pressure="p0", level=2):
     problem = ManufacturedProblem()
-    return apply_dirichlet(assemble_system(build_uniform_mesh(level), pressure,
-                                           problem), problem)
+    return apply_dirichlet(assemble_system(build_uniform_mesh(level), problem),
+                           problem).couple(pressure)
 
 
 def test_lambda_operator_at_zero():
@@ -493,8 +493,8 @@ def test_homogeneous_dirichlet_keeps_rhs():
 
     mesh = build_uniform_mesh(2)
     problem = ZeroBoundary()
-    system = assemble_system(mesh, "p0", problem)
-    reduced = apply_dirichlet(system, problem)
+    system = assemble_system(mesh, problem)
+    reduced = apply_dirichlet(system, problem).couple("p0")
     assert np.max(np.abs(reduced.lift)) == 0.0
     np.testing.assert_array_equal(reduced.rhs(0.0), system.rhs[reduced.free])
     np.testing.assert_array_equal(reduced.rhs(100.0), system.rhs[reduced.free])
@@ -503,7 +503,7 @@ def test_homogeneous_dirichlet_keeps_rhs():
 def test_dirichlet_corner_value():
     mesh = build_uniform_mesh(2)
     problem = ManufacturedProblem()
-    system = assemble_system(mesh, "p0", problem)
+    system = assemble_system(mesh, problem)
     reduced = apply_dirichlet(system, problem)
     ns = system.V.num_scalar_dofs
     # vertex 0 sits at the origin where the displacement vanishes
@@ -517,10 +517,7 @@ def test_dirichlet_corner_value():
 def test_reduced_operator_symmetry_and_spd():
     from elastprec.sparse_linalg import factor_spd
 
-    mesh = build_uniform_mesh(2)
-    problem = ManufacturedProblem()
-    system = assemble_system(mesh, "p1", problem)
-    reduced = apply_dirichlet(system, problem)
+    reduced = _small_system("p1")
     rng = np.random.default_rng(11)
     lam = 249.5
     x = rng.standard_normal(reduced.dim)
@@ -532,9 +529,7 @@ def test_reduced_operator_symmetry_and_spd():
 
 
 def test_expand_roundtrip():
-    mesh = build_uniform_mesh(1)
-    problem = ManufacturedProblem()
-    reduced = apply_dirichlet(assemble_system(mesh, "p0", problem), problem)
+    reduced = _small_system("p0", 1)
     x = np.arange(reduced.dim, dtype=float)
     full = reduced.expand(x)
     np.testing.assert_array_equal(full[reduced.free], x)
