@@ -17,7 +17,9 @@
 # where $P$ projects onto discretely divergence-free fields through one
 # Stokes saddle solve.  Everything expensive (one stiffness factorization,
 # one saddle factorization) is independent of $\lambda$, so a single setup
-# serves every material parameter.
+# serves every material parameter.  A PCG run makes only one saddle solve:
+# $P A^{-1} A_\lambda = P$, so $P z$ and $P p$ follow from their own
+# recurrences, and each step costs one stiffness back-substitution.
 
 # %%
 from elastprec.bench import (ExperimentConfig, emit_report,

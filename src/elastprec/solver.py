@@ -12,6 +12,18 @@ factorization and one saddle factorization serve every material parameter.
 The same holds for its spectrum: ``1`` on the divergence-free fields and
 ``(1 + lam theta) / (1 + lam)`` elsewhere, with theta over the nonzero
 eigenvalues of the lam-free pencil of ``schur_pencil_eigenvalue``.
+
+PCG needs the saddle solve only once.  ``A_lam - A = lam B^T Pi B`` maps
+into the range of ``B^T``, and ``P A^{-1} B^T = 0`` (a saddle solve with
+momentum ``B^T q`` returns zero velocity; the pinned pressure does not
+change that, because ``B^T 1 = 0``).  So ``P A^{-1} A_lam = P`` for either
+pressure projection ``Pi`` and every lam, and with ``w = lam/(1+lam)``
+
+    M A_lam p = w P p + (1 - w) A^{-1} (A_lam p),    P M A_lam p = P p.
+
+``pcg_solve`` therefore carries ``P z`` and ``P p`` by the recurrences of
+``z`` and ``p``: each step makes one stiffness back-substitution, and the
+saddle is solved once, for the initial residual.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ _DENSE_LIMIT = 2200
 
 
 class PcgConvergenceError(RuntimeError):
-    """PCG hit its iteration cap; carries the partial report."""
+    """PCG hit its iteration cap or broke down; carries the partial report."""
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -119,7 +131,14 @@ def build_projector(reduced: ReducedSystem, a_factor: Factorization,
 
 
 class Preconditioner:
-    """Convex combination of the plain and the projected stiffness inverse."""
+    """Convex combination of the plain and the projected stiffness inverse.
+
+    ``apply`` makes one saddle and one stiffness back-substitution.  On the
+    image of ``A_lam`` it acts as ``M A_lam p = w P p + (1 - w) A^{-1} A_lam p``
+    with ``w = projected_weight``, because ``P A^{-1} A_lam = P`` (see the
+    module docstring); ``pcg_solve`` applies it that way, from ``P p`` and
+    ``A_lam p``, with the stiffness factor alone.
+    """
 
     def __init__(self, lam: float, a_factor: Factorization,
                  projector: StokesProjector):
@@ -128,28 +147,35 @@ class Preconditioner:
         self.lam = lam
         self.a_factor = a_factor
         self.projector = projector
+        self.projected_weight = lam / (1.0 + lam)
+        self.plain_weight = 1.0 / (1.0 + lam)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        lam = self.lam
-        return (lam / (1.0 + lam) * self.projector.project_dual(g)
-                + 1.0 / (1.0 + lam) * self.a_factor.solve(g))
+        return (self.projected_weight * self.projector.project_dual(g)
+                + self.plain_weight * self.a_factor.solve(g))
 
 
 def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
               max_iterations: int = 500):
-    """Preconditioned conjugate gradients.
+    """Conjugate gradients preconditioned with ``M`` of ``Preconditioner``.
 
     The iteration stops on the true relative residual ``||b - A x|| / ||b||``,
-    recomputed every step.
+    recomputed every step.  ``z = M r`` and ``P z`` are updated by
+    ``M A_lam p = w P p + (1 - w) A^{-1} (A_lam p)`` and ``P M A_lam p = P p``
+    (see the module docstring), so a run of ``k`` steps makes one saddle
+    solve and ``k + 1`` stiffness back-substitutions.  An ``op`` that is not
+    ``A`` plus a term in the range of ``B^T`` breaks that identity; the run
+    then converges slowly or raises, but never stops early, because the
+    stopping test reads only the true residual.
 
     Parameters
     ----------
     op : callable
-        Application of the SPD system operator.
+        Application of the SPD system operator ``A_lam``.
     rhs : array
         Right-hand side; a zero right-hand side returns immediately.
     preconditioner : Preconditioner
-        Anything whose ``apply`` maps a residual to a search direction.
+        Its weights, ``projector`` and ``a_factor`` are read.
     tol : float
         Relative residual tolerance.
 
@@ -160,9 +186,9 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
     Raises
     ------
     PcgConvergenceError
-        If the iteration cap is hit before the tolerance, if ``p'Ap`` is not
-        positive, or at the first step whose ``p'Ap``, ``r'z`` or residual
-        is not finite.
+        If the iteration cap is hit before the tolerance, if ``p'Ap`` or
+        ``r'z`` is not positive, or at the first step whose ``p'Ap``, ``r'z``
+        or residual is not finite.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
@@ -179,10 +205,13 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
         return PcgConvergenceError(message, SolveReport(len(history) - 1,
                                                         np.array(history)))
 
+    w, w_plain = preconditioner.projected_weight, preconditioner.plain_weight
+    a_solve = preconditioner.a_factor.solve
     r = rhs.copy()
-    z = preconditioner.apply(r)
+    z_hat = preconditioner.projector.project_dual(r)
+    z = w * z_hat + w_plain * a_solve(r)
     rz = float(r @ z)
-    p = z.copy()
+    p, p_hat = z.copy(), z_hat.copy()
     target = min(max_iterations, rhs.size)
 
     for k in range(target):
@@ -196,7 +225,8 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
         x += alpha * p
         r -= alpha * ap
 
-        z = preconditioner.apply(r)
+        z -= alpha * (w * p_hat + w_plain * a_solve(ap))
+        z_hat -= alpha * p_hat
         rz_next = float(r @ z)
 
         res = float(np.linalg.norm(rhs - op(x)) / norm_b)
@@ -204,10 +234,16 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
         if not (math.isfinite(rz_next) and math.isfinite(res)):
             raise failure(f"non-finite value at PCG step {k + 1} "
                           f"(r'z = {rz_next:.3e}, residual {res:.3e})")
-        if res <= tol or rz_next <= 0.0:
+        if res <= tol:
             break
+        if rz_next <= 0.0:
+            raise failure(f"preconditioner is not positive definite on the Krylov "
+                          f"space at PCG step {k + 1} (r'z = {rz_next:.3e}, "
+                          f"residual {res:.3e})")
 
-        p = z + (rz_next / rz) * p
+        beta = rz_next / rz
+        p = z + beta * p
+        p_hat = z_hat + beta * p_hat
         rz = rz_next
 
     if not history[-1] <= tol:

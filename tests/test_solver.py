@@ -9,7 +9,7 @@ from elastprec.bench import (NU_DEFAULT, ExperimentConfig, poisson_to_lambda,
                              sharpened_condition_estimate, solve_cell)
 from elastprec.sparse_linalg import factor_spd
 from elastprec.solver import (NormEquivalenceError, PcgConvergenceError,
-                              dense_preconditioned_spectrum,
+                              Preconditioner, dense_preconditioned_spectrum,
                               dense_preconditioner_matrix, measure_inf_sup,
                               pcg_solve, schur_pencil_eigenvalue,
                               verify_norm_equivalence)
@@ -152,23 +152,101 @@ def test_pcg_nan_rhs_raises_at_once(case_p2p0_l3):
     assert err.value.report.iterations <= 1
 
 
+class _FaultyFactor:
+    """A stiffness factor whose ``solve`` result is altered at one PCG step.
+
+    PCG solves with the stiffness factor once for the initial residual
+    (step 0) and once in each step, so call ``step + 1`` belongs to ``step``.
+    """
+
+    def __init__(self, factor, step, fault):
+        self.factor, self.faulty_call, self.fault = factor, step + 1, fault
+        self.calls = 0
+
+    def solve(self, g):
+        self.calls += 1
+        z = self.factor.solve(g)
+        return self.fault(z) if self.calls == self.faulty_call else z
+
+
 def test_pcg_nan_preconditioner_raises_at_its_step(case_p2p0_l2):
     case = case_p2p0_l2
     lam = poisson_to_lambda(0.4999)
-    inner = case.preconditioner(lam)
-
-    class NanAtStep3:
-        calls = 0
-
-        def apply(self, g):
-            # the first call preconditions the initial residual (step 0)
-            self.calls += 1
-            z = inner.apply(g)
-            return np.full_like(z, np.nan) if self.calls == 4 else z
-
+    nan_at_3 = _FaultyFactor(case.a_factor, 3, lambda z: np.full_like(z, np.nan))
+    precond = Preconditioner(lam, nan_at_3, case.projector)
     with pytest.raises(PcgConvergenceError, match="non-finite.*step 3") as err:
-        pcg_solve(case.operator(lam), case.rhs(lam), NanAtStep3(), tol=1e-12)
+        pcg_solve(case.operator(lam), case.rhs(lam), precond, tol=1e-12)
     assert err.value.report.iterations == 3
+
+
+def test_pcg_breakdown_names_its_step(case_p2p0_l2):
+    # With lam = 0 the preconditioner is A^{-1}, so a sign flip of the step-2
+    # solve makes z = A^{-1}(2 r_1 - r_2) and r_2'z = -r_2'A^{-1}r_2 < 0
+    # (r_2'A^{-1}r_1 = 0); the operator's large lam keeps PCG far from tol.
+    case = case_p2p0_l2
+    lam = poisson_to_lambda(0.4999)
+    flip_at_2 = _FaultyFactor(case.a_factor, 2, np.negative)
+    precond = Preconditioner(0.0, flip_at_2, case.projector)
+    with pytest.raises(PcgConvergenceError,
+                       match=r"not positive definite .* step 2 \(r'z = -") as err:
+        pcg_solve(case.operator(lam), case.rhs(lam), precond)
+    assert err.value.report.iterations == 2
+    assert err.value.report.residual_history[-1] > 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.0, 2499.5])
+@pytest.mark.parametrize("pair", ["p2p0", "p2p1"])
+def test_pcg_makes_one_saddle_solve(pair, lam):
+    # a case of its own: its factors' solves are replaced for good
+    case = prepare_case(3, pair)
+    calls = {"A": 0, "saddle": 0}
+    for role, factor in (("A", case.a_factor), ("saddle", case.projector.factorization)):
+        def counted(g, solve=factor.solve, role=role):
+            calls[role] += 1
+            return solve(g)
+        factor.solve = counted
+    _, report = pcg_solve(case.operator(lam), case.rhs(lam), case.preconditioner(lam))
+    assert calls == {"A": report.iterations + 1, "saddle": 1}
+
+
+def _reference_pcg(op, rhs, preconditioner, tol):
+    """Textbook PCG: ``z = M r`` by ``apply``, one saddle solve per step."""
+    norm_b = np.linalg.norm(rhs)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = preconditioner.apply(r)
+    rz = r @ z
+    p = z.copy()
+    history = [1.0]
+    for _ in range(rhs.size):
+        ap = op(p)
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        z = preconditioner.apply(r)
+        rz_next = r @ z
+        history.append(np.linalg.norm(rhs - op(x)) / norm_b)
+        if history[-1] <= tol:
+            break
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return x, np.array(history)
+
+
+@pytest.mark.parametrize("projection", ["exact", "diagonal"])
+@pytest.mark.parametrize("pair", ["p2p0", "p2p1"])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_pcg_matches_reference_pcg(level, pair, projection):
+    case = prepare_case(level, pair, projection)
+    for lam in (0.0, 1.0, 2499.5):
+        op, rhs, precond = case.operator(lam), case.rhs(lam), case.preconditioner(lam)
+        x, report = pcg_solve(op, rhs, precond)
+        x_ref, history_ref = _reference_pcg(op, rhs, precond, 1e-6)
+        assert report.iterations == len(history_ref) - 1, lam
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref), lam
+        above = history_ref > 1e-12
+        np.testing.assert_allclose(report.residual_history[above], history_ref[above],
+                                   rtol=1e-6, err_msg=f"lam={lam}")
 
 
 def test_pcg_energy_error_monotone(case_p2p0_l2):
