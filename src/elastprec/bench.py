@@ -72,6 +72,12 @@ class ExperimentConfig:
         for pair in self.pairs:
             if pair not in PAIRS:
                 raise ValueError(f"unknown element pair {pair!r}; expected one of {PAIRS}")
+        # a repeated entry would solve its cells twice and print them twice
+        for name, values in (("element pair", self.pairs), ("level", self.levels),
+                             ("Poisson ratio", self.nu_values)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} {repeated[0]!r} is listed more than once")
         if not self.levels:
             raise ValueError("at least one level is required")
         guard = min(self.max_level_guard, MAX_LEVEL)
@@ -217,10 +223,7 @@ class _LevelPart:
 
     @cached_property
     def a_factor(self) -> Factorization:
-        # each node's two dofs stay adjacent in the nested-dissection order
-        nodes = self.dissection.order
-        return factor_spd(self.stiffness.A,
-                          np.column_stack([nodes, nodes + nodes.size]).ravel())
+        return factor_spd(self.stiffness.A, self.dissection.dof_order)
 
 
 def prepare_case(level: int, pair: str = "p2p0",
@@ -237,8 +240,7 @@ def prepare_case(level: int, pair: str = "p2p0",
     reduced = part.stiffness.couple(kind)
     return PreparedCase(
         pair=pair, level=level, reduced=reduced, dissection=part.dissection,
-        a_factor=part.a_factor,
-        projector=build_projector(reduced, part.a_factor, part.dissection),
+        a_factor=part.a_factor, projector=build_projector(reduced, part.dissection),
         problem=part.problem, projection=projection)
 
 
@@ -504,6 +506,26 @@ def _check_one_step_projection(case, rng) -> str:
     return f"max A-norm difference {worst:.3e}"
 
 
+def _check_projected_operator(cases, rng) -> str:
+    """``P A^{-1} A_lam v = P v``, the identity PCG's recurrences rest on."""
+    worst = dict.fromkeys((0.5, 2499.5), 0.0)
+    for lam in worst:
+        for case in cases:
+            reduced = case.reduced
+            for _ in range(5):
+                v = rng.standard_normal(reduced.dim)
+                pv = case.projector.project(v)
+                diff = case.projector.project_dual(
+                    reduced.apply_lambda(lam, v, case.projection)) - pv
+                defect = np.sqrt(diff @ (reduced.A @ diff) / (pv @ (reduced.A @ pv)))
+                worst[lam] = max(worst[lam], defect)
+    detail = ", ".join(f"{defect:.3e} at lambda {lam:g}" for lam, defect in worst.items())
+    _require(max(worst.values()) <= 1e-10, f"P A^-1 A_lam v differs from P v by {detail}")
+    levels = sorted({case.level for case in cases})
+    return (f"max relative A-norm defect {detail} "
+            f"({len(cases)} cases at L{levels[0]}-L{levels[-1]}, 5 vectors each)")
+
+
 def _check_norm_equivalence(cases, inf_sup, rng) -> str:
     details = []
     for case in cases:
@@ -516,17 +538,16 @@ def _check_norm_equivalence(cases, inf_sup, rng) -> str:
     return "; ".join(details)
 
 
-def _check_inf_sup(inf_sup) -> str:
+def _check_inf_sup(inf_sup, parts) -> str:
     """beta_h of both pairs at ``_INF_SUP_LEVELS`` and theta_max <= 2.
 
     ``inf_sup`` holds the L2-L3 reports.  Their largest-end pencil runs
     are costly beyond L3, because the eigenvalues crowd towards 1 (at L5,
     over 30k ``A`` solves), so the finer levels read beta_h alone: the
-    smallest-end run of the same pencil, on a level part built here and
+    smallest-end run of the same pencil, on the level part of ``parts``
     coupled to each pair's pressure space; no saddle is factored for it.
     """
     details = []
-    parts = {level: _LevelPart(level) for level in _INF_SUP_LEVELS}
     for pair, reports in inf_sup.items():
         betas = {}
         for level, r in reports.items():
@@ -647,7 +668,8 @@ def run_fourier_checks(seed: int = 0) -> list[CheckOutcome]:
 def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
     """Run every identity/property check; returns one outcome per check."""
     rng = np.random.default_rng(seed)
-    parts = {level: _LevelPart(level) for level in (2, 3)}
+    # built on first use: L4-L5 serve only the inf-sup check
+    parts = {level: _LevelPart(level) for level in _INF_SUP_LEVELS}
     cases = {(pair, level): prepare_case(level, pair, _shared=parts[level])
              for pair in PAIRS for level in (2, 3)}
     l23 = list(cases.values())
@@ -662,12 +684,19 @@ def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
             reports[pair][level] = measure_inf_sup(case.reduced, case.a_factor)
         return reports
 
+    def check_inf_sup():
+        detail = _check_inf_sup(inf_sup(), parts)
+        # L4-L5 serve this check alone: free their factors before the dense checks
+        for level in set(parts) - {2, 3}:
+            del parts[level]
+        return detail
+
     return _run_checks(_fourier_checks(rng) + [
         ("projection-idempotent-and-divergence", lambda: _check_projection(l23, rng)),
         ("projection-one-step-equals-two-step",
          lambda: _check_one_step_projection(cases[("p2p0", 2)], rng)),
         ("norm-equivalence", lambda: _check_norm_equivalence(l23, inf_sup(), rng)),
-        ("inf-sup", lambda: _check_inf_sup(inf_sup())),
+        ("inf-sup", check_inf_sup),
         ("preconditioner-symmetry",
          lambda: _check_preconditioner_symmetry(cases[("p2p1", 2)], rng)),
         ("dense-spectrum-cross-check", lambda: _check_dense_cross_check(l23)),
@@ -675,4 +704,6 @@ def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
          lambda: _check_exact_inverse_identity(cases[("p2p0", 2)])),
         ("lambda-zero-exact", lambda: _check_lambda_zero(cases[("p2p0", 3)])),
         ("lambda-uniformity", lambda: _check_lambda_uniformity(l3)),
+        # last, so that the random vectors of the checks above do not move
+        ("projected-operator-identity", lambda: _check_projected_operator(l23, rng)),
     ])

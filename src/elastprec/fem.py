@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh
+from .mesh import Mesh, nested_dissection
 from .quadrature import RULE_DEGREE5, RULE_DEGREE6, TriangleRule
 from .sparse_linalg import Factorization, factor_spd
 
@@ -121,54 +121,37 @@ def build_space(mesh: Mesh, kind: str) -> DofSpace:
     )
 
 
-def _half_turns(points: np.ndarray):
-    """``sin(pi x), cos(pi x), sin(pi y), cos(pi y)`` at the points."""
-    x, y = points[:, 0], points[:, 1]
-    return np.sin(np.pi * x), np.cos(np.pi * x), np.sin(np.pi * y), np.cos(np.pi * y)
-
-
-def _sine_displacement(sx, cx, sy, cy) -> np.ndarray:
-    return np.column_stack([sx * cy, -cx * sy])
-
-
-def _sine_gradient(sx, cx, sy, cy) -> np.ndarray:
-    grad = np.empty((sx.shape[0], 2, 2))
-    grad[:, 0, 0] = np.pi * cx * cy
-    grad[:, 0, 1] = -np.pi * sx * sy
-    grad[:, 1, 0] = np.pi * sx * sy
-    grad[:, 1, 1] = -np.pi * cx * cy
-    return grad
-
-
 class ManufacturedProblem:
     """Smooth divergence-free benchmark displacement on the unit square.
 
     ``u = (sin(pi x) cos(pi y), -cos(pi x) sin(pi y))`` has ``div u = 0``,
     so the body force ``f = -div eps(u) = pi^2 u`` is independent of the
     compressibility parameter and the same forcing drives every ``lam``.
-    Boundary data is the trace of ``u``.
+    Boundary data is the trace of ``u``.  ``displacement_and_gradient`` is
+    the one definition of the field; a problem with another field overrides
+    it alone.
     """
 
+    def displacement_and_gradient(self, points: np.ndarray):
+        """``u`` and its gradient tensor ``G[n, i, j] = d u_i / d x_j``.
+
+        One evaluation of the sines and cosines serves both.
+        """
+        x, y = points[:, 0], points[:, 1]
+        sx, cx = np.sin(np.pi * x), np.cos(np.pi * x)
+        sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
+        grad = np.empty((points.shape[0], 2, 2))
+        grad[:, 0, 0] = np.pi * cx * cy
+        grad[:, 0, 1] = -np.pi * sx * sy
+        grad[:, 1, 0] = np.pi * sx * sy
+        grad[:, 1, 1] = -np.pi * cx * cy
+        return np.column_stack([sx * cy, -cx * sy]), grad
+
     def displacement(self, points: np.ndarray) -> np.ndarray:
-        return _sine_displacement(*_half_turns(points))
+        return self.displacement_and_gradient(points)[0]
 
     def displacement_gradient(self, points: np.ndarray) -> np.ndarray:
-        """Gradient tensor ``G[n, i, j] = d u_i / d x_j``."""
-        return _sine_gradient(*_half_turns(points))
-
-    def displacement_and_gradient(self, points: np.ndarray):
-        """``(displacement(points), displacement_gradient(points))``.
-
-        The error norms read both at the same points, so the sines and
-        cosines are evaluated once, with the same values bit for bit.  A
-        subclass that overrides either method gets the two calls instead.
-        """
-        cls = type(self)
-        if (cls.displacement is not ManufacturedProblem.displacement
-                or cls.displacement_gradient is not ManufacturedProblem.displacement_gradient):
-            return self.displacement(points), self.displacement_gradient(points)
-        trig = _half_turns(points)
-        return _sine_displacement(*trig), _sine_gradient(*trig)
+        return self.displacement_and_gradient(points)[1]
 
     def body_force(self, points: np.ndarray) -> np.ndarray:
         return np.pi**2 * self.displacement(points)
@@ -392,46 +375,29 @@ class ReducedStiffness:
     def couple(self, pressure_kind: str) -> ReducedSystem:
         """The reduced system with a pressure space of ``pressure_kind``
         ("p0" or "p1") on this mesh: builds the space, assembles ``B`` and
-        ``MQ`` and reduces ``B`` against the free dofs and the lift."""
+        ``MQ`` and reduces ``B`` against the free dofs and the lift.  The
+        system holds this stiffness's arrays themselves, not copies."""
         Q = build_space(self.V.mesh, pressure_kind)
         B = assemble_div(self.V, Q)
-        return ReducedSystem(stiffness=self, Q=Q, B=B[:, self.free].tocsr(),
+        return ReducedSystem(V=self.V, free=self.free, lift=self.lift, A=self.A,
+                             rhs_const=self.rhs_const, Q=Q, B=B[:, self.free].tocsr(),
                              MQ=assemble_pressure_mass(Q), _b_lift=B @ self.lift)
 
 
 @dataclass
-class ReducedSystem:
-    """System restricted to the Dirichlet-free dofs, with boundary lift.
+class ReducedSystem(ReducedStiffness):
+    """A reduced stiffness coupled to a pressure space ``Q``.
 
     Carries ``A_lam = A + lam * B^T Pi B``; ``Pi`` divides by ``D``, which
     is derived from ``MQ``, or solves with ``MQ``.  The reduced right-hand
     side depends on the compressibility parameter through the lift, so it
     is exposed as ``rhs(lam)``; the lam-independent pieces are precomputed.
-    ``V``, ``free``, ``lift`` and ``A`` are those of ``stiffness``, which
-    other pressure spaces on the same mesh may share.
     """
 
-    stiffness: ReducedStiffness
     Q: DofSpace
     B: sp.csr_array
     MQ: sp.csr_array
     _b_lift: np.ndarray = field(repr=False)
-
-    @property
-    def V(self) -> DofSpace:
-        return self.stiffness.V
-
-    @property
-    def free(self) -> np.ndarray:
-        return self.stiffness.free
-
-    @property
-    def lift(self) -> np.ndarray:
-        return self.stiffness.lift
-
-    @property
-    def A(self) -> sp.csr_array:
-        return self.stiffness.A
 
     @property
     def dim(self) -> int:
@@ -449,8 +415,10 @@ class ReducedSystem:
 
     @cached_property
     def mq_factor(self) -> Factorization:
-        """Factorization of the pressure mass, computed on first use."""
-        return factor_spd(self.MQ)
+        """Factorization of the pressure mass in the nested-dissection order
+        of the pressure nodes, computed on first use."""
+        order = nested_dissection(self.Q.dof_points, self.Q.mesh.h).order
+        return factor_spd(self.MQ, order)
 
     def pressure_projection_apply(self, w: np.ndarray,
                                   projection: str = DEFAULT_PROJECTION) -> np.ndarray:
@@ -490,7 +458,7 @@ class ReducedSystem:
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
         lift_term = self.BT @ self.pressure_projection_apply(self._b_lift, projection)
-        return self.stiffness.rhs_const - lam * lift_term
+        return self.rhs_const - lam * lift_term
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
         """Recombine free-dof coefficients with the boundary lift."""

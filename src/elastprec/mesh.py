@@ -5,13 +5,15 @@ of ``2^L x 2^L`` squares, each split into two triangles along the
 bottom-left-to-top-right diagonal.  Entity numbering is lexicographic
 (by y, then x), so repeated runs produce bit-identical meshes.
 ``nested_dissection`` orders nodes of such a grid for elimination and
-records the cut tree behind the order.
+records the cut tree behind the order; every factorization of the program
+is ordered by one.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -222,6 +224,13 @@ class NestedDissection:
     path: np.ndarray
     depth: np.ndarray
     digits: int
+
+    @cached_property
+    def dof_order(self) -> np.ndarray:
+        """Elimination order of a vector field on the nodes, blocked by
+        component (node ``k`` owns dofs ``k`` and ``n + k``): the nodes in
+        ``order``, each node's two dofs adjacent."""
+        return np.column_stack([self.order, self.order + self.order.size]).ravel()
 
 
 def nested_dissection(points: np.ndarray, h: float) -> NestedDissection:

@@ -86,22 +86,21 @@ class StokesProjector:
     Implemented through the saddle system ``[[A, B^T], [B, 0]]`` with one
     pressure dof pinned to zero (the constant-pressure nullspace of the
     pure-Dirichlet problem); the velocity block is unaffected by the pin.
-    The saddle is factored once, in the elimination order of ``a_factor``
-    (the factorization of ``A``) extended to the pressures, each placed in
-    a subtree of ``dissection`` (the nested dissection of the velocity
-    nodes behind that order; see ``saddle_order``), and reused by every
-    application.
+    The saddle is factored once, and reused by every application, in the
+    order of ``saddle_order``: the velocities in ``dissection.dof_order``,
+    the order ``A`` is factored in (``dissection`` is the nested dissection
+    of the velocity nodes), and each pressure inside one of its subtrees.
     """
 
     def __init__(self, A: sp.csr_array, B: sp.csr_array,
-                 a_factor: Factorization, dissection: NestedDissection):
+                 dissection: NestedDissection):
         self.A = A
         self.n_velocity = A.shape[1]
         self.n_pressure = B.shape[0]
         b_pinned = B[:-1]
         saddle = sp.block_array([[A, b_pinned.T], [b_pinned, None]], format="csc")
         self.factorization: Factorization = factor_symmetric_indefinite(
-            saddle, saddle_order(a_factor, b_pinned, dissection))
+            saddle, saddle_order(dissection.dof_order, b_pinned, dissection))
 
     def project_dual(self, g: np.ndarray) -> np.ndarray:
         """Velocity block of the saddle solve with momentum data ``g``.
@@ -119,15 +118,14 @@ class StokesProjector:
         return self.project_dual(self.A @ w)
 
 
-def build_projector(reduced: ReducedSystem, a_factor: Factorization,
+def build_projector(reduced: ReducedSystem,
                     dissection: NestedDissection) -> StokesProjector:
     """Stokes projector on the Dirichlet-free space of a reduced system.
 
-    ``a_factor`` is the factorization of ``reduced.A`` in the order of
-    ``dissection``, the nested dissection of the free velocity nodes; the
-    saddle reuses both.
+    ``dissection`` is the nested dissection of the free velocity nodes,
+    whose dof order ``reduced.A`` is factored in; the saddle keeps it.
     """
-    return StokesProjector(reduced.A, reduced.B, a_factor, dissection)
+    return StokesProjector(reduced.A, reduced.B, dissection)
 
 
 class Preconditioner:

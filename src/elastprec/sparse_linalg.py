@@ -1,21 +1,23 @@
 """Direct sparse factorizations.
 
 Factorizations wrap SuperLU in symmetric mode and share one body; they
-differ only in the pivot threshold and the pivot check.  The SPD path
-factors in the elimination order it is given (the stiffness matrix gets a
-geometric nested-dissection order from the mesh) or, given none, in
-SuperLU's minimum-degree order (MMD on ``A + A^T``), for matrices without
-grid geometry.  The saddle path factors ``[[A, B^T], [B, 0]]`` in a
-constrained elimination order taken from the SPD factor of ``A`` and the
-nested dissection behind it: the velocities keep ``A``'s order, and each
-pressure is eliminated inside the smallest dissection subtree that holds at
-least two of its velocity nodes, right after its last-eliminated neighbour
-there, so by the time a zero diagonal entry of the pressure block is
-reached it has filled in, and a separator's dense block is not widened by
-the pressures of the cells that merely touch it.  Its diagonal pivot
-threshold (``1e-4``) keeps the diagonal pivots (and the factor symmetric)
-unless one is tiny against its column.  Both expose a ``solve`` that also
-accepts blocks of right-hand sides.
+differ only in the pivot threshold and the pivot check.  SuperLU permutes
+no column: each matrix is factored in the elimination order it is given, or
+in its own index order when given none (small matrices only).  Every order
+the program uses comes from a geometric nested dissection of the mesh
+(``mesh.nested_dissection``).  The SPD path factors the stiffness matrix in
+its dissection's dof order and the pressure mass in the dissection of the
+pressure nodes.  The saddle path factors ``[[A, B^T], [B, 0]]`` in a
+constrained order built from the velocity order and its dissection: the
+velocities keep that order, and each pressure is eliminated inside the
+smallest dissection subtree that holds at least two of its velocity nodes,
+right after its last-eliminated neighbour there, so by the time a zero
+diagonal entry of the pressure block is reached it has filled in, and a
+separator's dense block is not widened by the pressures of the cells that
+merely touch it.  Its diagonal pivot threshold (``1e-4``) keeps the
+diagonal pivots (and the factor symmetric) unless one is tiny against its
+column.  Both expose a ``solve`` that also accepts blocks of right-hand
+sides.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ class Factorization:
     """Direct factorization wrapping a SuperLU object.
 
     ``order`` is the elimination order the matrix was permuted by before
-    SuperLU saw it (``K[order][:, order]``), or ``None`` when SuperLU chose
-    the order itself.
+    SuperLU saw it (``K[order][:, order]``), or ``None`` when it was
+    factored in its own index order.
     """
 
     _lu: object
@@ -69,19 +71,6 @@ class Factorization:
     def nnz(self) -> int:
         """Fill of the factor: nonzeros of L and U together."""
         return int(self._lu.nnz)
-
-    def elimination_positions(self) -> np.ndarray:
-        """Position at which the factor eliminates each original index.
-
-        SuperLU eliminates column ``j`` of the matrix it factored at
-        position ``perm_c[j]`` (its fill-reducing order when given none).
-        """
-        perm_c = self._lu.perm_c
-        if self.order is None:
-            return perm_c
-        positions = np.empty_like(perm_c)
-        positions[self.order] = perm_c
-        return positions
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``K x = rhs``; ``rhs`` may be a vector or a dense block."""
@@ -94,17 +83,16 @@ class Factorization:
 
 
 def _factor(matrix, order, diag_pivot_thresh: float) -> Factorization:
-    """SuperLU in symmetric mode on ``matrix[order][:, order]`` (MMD if None)."""
+    """SuperLU in symmetric mode on ``matrix[order][:, order]``, with no
+    column order of its own."""
     csc = sp.csc_array(matrix)
     if csc.shape[0] != csc.shape[1]:
         raise ValueError(f"square matrix required, got shape {csc.shape}")
-    if order is None:
-        permc_spec = "MMD_AT_PLUS_A"
-    else:
+    if order is not None:
         order = np.asarray(order)
-        csc, permc_spec = csc[order][:, order], "NATURAL"
+        csc = csc[order][:, order]
     try:
-        lu = splu(csc, permc_spec=permc_spec, diag_pivot_thresh=diag_pivot_thresh,
+        lu = splu(csc, permc_spec="NATURAL", diag_pivot_thresh=diag_pivot_thresh,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
@@ -115,11 +103,12 @@ def factor_spd(matrix, order=None) -> Factorization:
     """Factor a symmetric positive definite sparse matrix.
 
     Factors ``matrix[order][:, order]`` in that order, or, with ``order``
-    ``None``, in SuperLU's minimum-degree order of ``A + A^T`` (for matrices
-    without grid geometry).  No row is pivoted, so the pivot sequence is
-    exactly the diagonal of the triangular factor; any nonpositive pivot
-    disproves positive definiteness and raises ``NotSpdError`` naming the
-    offending index.
+    ``None``, in the matrix's own index order, which suits only small
+    matrices.  SuperLU permutes no column and pivots no row, so pivot ``k``
+    eliminates row ``order[k]`` (row ``k`` without an order) and the pivot
+    sequence is exactly the diagonal of the triangular factor; any
+    nonpositive pivot disproves positive definiteness and raises
+    ``NotSpdError`` naming the offending index.
     """
     factor = _factor(matrix, order, 0.0)
     # lu.U makes SciPy build and cache CSC copies of L and U for the factor's lifetime
@@ -127,22 +116,22 @@ def factor_spd(matrix, order=None) -> Factorization:
     bad = np.flatnonzero(pivots <= 0.0)
     if bad.size:
         k = int(bad[0])
-        row = int(np.flatnonzero(factor.elimination_positions() == k)[0])
+        row = k if factor.order is None else int(factor.order[k])
         raise NotSpdError(
             f"matrix is not SPD: pivot {k} (original row {row}) is {pivots[k]:.3e}")
     return factor
 
 
-def saddle_order(a_factor: Factorization, b,
+def saddle_order(velocity_order: np.ndarray, b,
                  dissection: NestedDissection) -> np.ndarray:
     """Elimination order of the saddle ``[[A, B^T], [B, 0]]``.
 
-    ``a_factor`` is the SPD factorization of ``A`` and ``b`` the (pinned)
-    constraint matrix, one row per pressure.  ``dissection`` is the nested
-    dissection of the ``m`` velocity nodes that ``a_factor``'s order was
-    built from; the velocity dofs are blocked by component, so dof ``j``
-    belongs to node ``j % m``.  Velocities keep the order in which
-    ``a_factor`` eliminates them.
+    ``velocity_order`` is the elimination order of ``A`` and ``b`` the
+    (pinned) constraint matrix, one row per pressure.  ``dissection`` is the
+    nested dissection of the ``m`` velocity nodes that ``velocity_order``
+    was built from (its ``dof_order``); the velocity dofs are blocked by
+    component, so dof ``j`` belongs to node ``j % m``.  Velocities keep
+    their order.
 
     The neighbours of a pressure are the nodes of its row of ``b``.  It is
     placed in the smallest subtree of the dissection (a leaf included) that
@@ -159,8 +148,8 @@ def saddle_order(a_factor: Factorization, b,
     if np.any(neighbours == 0):
         raise SingularMatrixError("a pressure dof has no velocity neighbour, "
                                   "so the saddle matrix is singular")
-    # int64 throughout: SuperLU's positions are int32
-    velocity_pos = a_factor.elimination_positions().astype(np.int64)
+    velocity_pos = np.empty(len(velocity_order), dtype=np.int64)
+    velocity_pos[velocity_order] = np.arange(velocity_pos.size)
     num_nodes = dissection.path.size
     # one (pressure, node) pair per neighbour node, at its last-eliminated dof
     pair = (np.repeat(np.arange(b.shape[0], dtype=np.int64), neighbours) * num_nodes

@@ -17,7 +17,7 @@ from elastprec.bench import (ExperimentConfig, emit_report, poisson_to_lambda,
 from elastprec.fem import ReducedSystem
 from elastprec.solver import PcgConvergenceError, SpectrumError
 from elastprec.sparse_linalg import NotSpdError
-from elastprec import bench, cli, mesh, solver
+from elastprec import bench, cli, mesh, solver, sparse_linalg
 
 
 SMALL = ExperimentConfig(pairs=("p2p0",), levels=(2,), nu_values=(0.25, 0.4999),
@@ -50,6 +50,16 @@ def test_config_validation():
         ExperimentConfig(tolerance=0.0)
     with pytest.raises(ValueError, match="projection"):
         ExperimentConfig(projection="magic")
+
+
+@pytest.mark.parametrize("field,values,repeated", [
+    ("pairs", ("p2p0", "p2p1", "p2p0"), "element pair 'p2p0'"),
+    ("levels", (2, 3, 2.0), "level 2"),
+    ("nu_values", (0.25, 0.4, "0.25"), "Poisson ratio 0.25"),
+])
+def test_config_rejects_repeated_entry(field, values, repeated):
+    with pytest.raises(ValueError, match=f"^{repeated} is listed more than once$"):
+        ExperimentConfig(**{field: values})
 
 
 def test_result_grid_complete(small_result):
@@ -220,11 +230,12 @@ def test_verification_suite_all_green(monkeypatch):
         return original_saddle(matrix, order)
 
     monkeypatch.setattr(solver, "factor_symmetric_indefinite", counting_saddle)
+    orders = _record_factor_orders(monkeypatch)
     outcomes = run_verification_suite(seed=0)
     names = {o.name for o in outcomes}
     assert {"fourier-convex-combination", "inf-sup", "norm-equivalence",
             "dense-spectrum-cross-check", "lambda-zero-exact",
-            "lambda-uniformity"} <= names
+            "lambda-uniformity", "projected-operator-identity"} <= names
     failures = [f"{o.name}: {o.detail}" for o in outcomes if not o.passed]
     assert not failures, failures
     # beta_h at L2-L5 of both pairs
@@ -235,6 +246,32 @@ def test_verification_suite_all_green(monkeypatch):
     assert len(factored) == 4 and len(set(factored)) == 4
     # one saddle per pair at L2-L3; beta_h at L4-L5 needs none
     assert len(saddles) == 4
+    # every factor, MQ's included, in an order of the program's own
+    assert len(orders) == 4 + 4 + 8
+    assert all(order is not None for order in orders)
+
+
+def _record_factor_orders(monkeypatch) -> list:
+    """Wrap ``sparse_linalg._factor``; the list gets the order of each call."""
+    orders = []
+    original = sparse_linalg._factor
+
+    def recording(matrix, order, diag_pivot_thresh):
+        orders.append(order)
+        return original(matrix, order, diag_pivot_thresh)
+
+    monkeypatch.setattr(sparse_linalg, "_factor", recording)
+    return orders
+
+
+@pytest.mark.parametrize("projection,factors", [("diagonal", 2 + 4), ("exact", 2 + 4 + 4)])
+def test_table_gives_every_factor_an_order(monkeypatch, projection, factors):
+    # A per level, a saddle per (pair, level), and MQ where the exact
+    # projection solves with it
+    orders = _record_factor_orders(monkeypatch)
+    run_table_experiment(ExperimentConfig(levels=(2, 3), projection=projection))
+    assert len(orders) == factors
+    assert all(order is not None for order in orders)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +314,9 @@ def test_handed_off_case_equals_lone_case(level):
     shared = bench.prepare_case(level, "p2p1", _shared=part)
     lone = bench.prepare_case(level, "p2p1")
     assert shared.a_factor is first.a_factor is part.a_factor
-    assert shared.reduced.stiffness is first.reduced.stiffness is part.stiffness
+    for name in ("A", "rhs_const", "lift", "free"):
+        assert (getattr(shared.reduced, name) is getattr(first.reduced, name)
+                is getattr(part.stiffness, name))
     for name in ("A", "B", "MQ"):
         _assert_same_csr(getattr(shared.reduced, name), getattr(lone.reduced, name))
     for lam in (0.0, 2499.5):
@@ -376,6 +415,15 @@ def test_cli_bench_level_range_parsing(tmp_path):
 
 def test_cli_bench_config_error():
     assert cli.main(["bench", "--levels", "12", "--nu", "0.25"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("grid", [["--levels", "2,2", "--nu", "0.25"],
+                                  ["--levels", "2", "--nu", "0.25,0.25"]])
+def test_cli_bench_repeated_entry_is_config_error(grid, capsys):
+    assert cli.main(["bench", "--pair", "p2p0", *grid]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is listed more than once" in captured.err
 
 
 def _diverge(op, rhs, *args, **kwargs):

@@ -556,18 +556,14 @@ def test_errors_of_interpolant_scale_cubically():
 class _QuadraticProblem(ManufacturedProblem):
     """A quadratic field, which the P2 space represents exactly."""
 
-    def displacement(self, points):
-        x, y = points[:, 0], points[:, 1]
-        return np.column_stack([x * x, x * y])
-
-    def displacement_gradient(self, points):
+    def displacement_and_gradient(self, points):
         x, y = points[:, 0], points[:, 1]
         g = np.empty((points.shape[0], 2, 2))
         g[:, 0, 0] = 2 * x
         g[:, 0, 1] = 0.0
         g[:, 1, 0] = y
         g[:, 1, 1] = x
-        return g
+        return np.column_stack([x * x, x * y]), g
 
 
 def test_errors_zero_for_exact_coefficients():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from elastprec import bench
 from elastprec.bench import prepare_case
 from elastprec.sparse_linalg import (NotSpdError, SingularMatrixError,
                                      factor_spd, factor_symmetric_indefinite,
@@ -55,7 +56,7 @@ def test_unpinned_stokes_matrix_is_singular(case_p2p0_l2):
     saddle = sp.block_array([[red.A, red.B.T], [red.B, None]], format="csc")
     with pytest.raises(SingularMatrixError):
         factor_symmetric_indefinite(
-            saddle, saddle_order(case_p2p0_l2.a_factor, red.B, case_p2p0_l2.dissection))
+            saddle, saddle_order(case_p2p0_l2.a_factor.order, red.B, case_p2p0_l2.dissection))
 
 
 def test_saddle_solve_matches_dense_oracle(case_p2p0_l2):
@@ -63,8 +64,8 @@ def test_saddle_solve_matches_dense_oracle(case_p2p0_l2):
     keep = np.arange(red.B.shape[0] - 1)
     saddle = sp.block_array([[red.A, red.B[keep].T], [red.B[keep], None]],
                             format="csc")
-    f = factor_symmetric_indefinite(
-        saddle, saddle_order(case_p2p0_l2.a_factor, red.B[keep], case_p2p0_l2.dissection))
+    order = saddle_order(case_p2p0_l2.a_factor.order, red.B[keep], case_p2p0_l2.dissection)
+    f = factor_symmetric_indefinite(saddle, order)
     rng = np.random.default_rng(13)
     b = rng.standard_normal(saddle.shape[0])
     x = f.solve(b)
@@ -94,6 +95,13 @@ def _encloses(cuts, subtree):
     return home != cuts and len(subtree) > len(home) and subtree[:len(home)] == home
 
 
+def _positions(order):
+    """Position at which ``order`` eliminates each index."""
+    positions = np.empty_like(order)
+    positions[order] = np.arange(order.size)
+    return positions
+
+
 def _reference_saddle_order(case, b):
     """The subtree rule, one pressure at a time, as stated.
 
@@ -103,7 +111,7 @@ def _reference_saddle_order(case, b):
     that holds one; follow the last neighbour inside.
     """
     m = case.reduced.dim // 2
-    velocity_pos = case.a_factor.elimination_positions()
+    velocity_pos = _positions(case.a_factor.order)
     b = sp.csr_array(b)
     keys = []
     for q in range(b.shape[0]):
@@ -135,11 +143,11 @@ def test_saddle_order_respects_velocity_order(fixture, request):
     red = case.reduced
     n, m = red.dim, red.dim // 2
     b_pinned = red.B[np.arange(red.B.shape[0] - 1)]
-    order = saddle_order(case.a_factor, b_pinned, case.dissection)
+    order = saddle_order(case.a_factor.order, b_pinned, case.dissection)
     np.testing.assert_array_equal(np.sort(order), np.arange(n + b_pinned.shape[0]))
     # velocities in the order the factorization of A eliminates them
     velocities = order[order < n]
-    np.testing.assert_array_equal(case.a_factor.elimination_positions()[velocities],
+    np.testing.assert_array_equal(_positions(case.a_factor.order)[velocities],
                                   np.arange(n))
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
@@ -166,7 +174,7 @@ def test_saddle_order_rejects_pressure_without_neighbour(case_p2p0_l2):
     red = case_p2p0_l2.reduced
     b = sp.vstack([red.B, sp.csr_array((1, red.dim))])
     with pytest.raises(SingularMatrixError, match="no velocity neighbour"):
-        saddle_order(case_p2p0_l2.a_factor, b, case_p2p0_l2.dissection)
+        saddle_order(case_p2p0_l2.a_factor.order, b, case_p2p0_l2.dissection)
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
@@ -225,6 +233,15 @@ def test_nested_dissection_fill_guard_l5(pair, saddle_mmd_fill):
     saddle_fill = case.projector.factorization._lu.nnz
     assert saddle_fill < saddle_mmd_fill
     assert saddle_fill < last_neighbour_fill
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_stiffness_factor_keeps_its_order(level):
+    # the saddle order and the pivot report read positions off the given
+    # order, so SuperLU must not permute its columns
+    lu = bench._LevelPart(level).a_factor._lu
+    np.testing.assert_array_equal(lu.perm_c, np.arange(lu.shape[0]))
+    np.testing.assert_array_equal(lu.perm_r, np.arange(lu.shape[0]))
 
 
 def test_factorization_deterministic(case_p2p0_l2):
