@@ -18,6 +18,12 @@ merely touch it.  Its diagonal pivot threshold (``1e-4``) keeps the
 diagonal pivots (and the factor symmetric) unless one is tiny against its
 column.  Both expose a ``solve`` that also accepts blocks of right-hand
 sides.
+
+Both pivot checks read the pivots off the diagonal of ``U``.  SciPy gives
+them only through CSC copies of ``L`` and ``U``, which it builds on the
+first read and would keep for the factor's lifetime, about doubling its
+memory; the check empties both copies once it has the pivots, so a factor
+holds only SuperLU's own storage (``solve`` never reads the copies).
 """
 
 from __future__ import annotations
@@ -99,6 +105,22 @@ def _factor(matrix, order, diag_pivot_thresh: float) -> Factorization:
     return Factorization(lu, order)
 
 
+def _read_pivots(lu) -> np.ndarray:
+    """The pivot sequence of ``lu``, the diagonal of its ``U``.
+
+    Reading ``lu.U`` makes SciPy build CSC copies of ``L`` and ``U`` and
+    cache them on ``lu``; both are emptied here (shape kept), so that only
+    the pivots outlive the read.
+    """
+    lower, upper = lu.L, lu.U
+    pivots = upper.diagonal()
+    for copy in (lower, upper):
+        copy.data = np.empty(0, dtype=copy.data.dtype)
+        copy.indices = np.empty(0, dtype=copy.indices.dtype)
+        copy.indptr = np.zeros(copy.shape[1] + 1, dtype=copy.indptr.dtype)
+    return pivots
+
+
 def factor_spd(matrix, order=None) -> Factorization:
     """Factor a symmetric positive definite sparse matrix.
 
@@ -108,11 +130,12 @@ def factor_spd(matrix, order=None) -> Factorization:
     eliminates row ``order[k]`` (row ``k`` without an order) and the pivot
     sequence is exactly the diagonal of the triangular factor; any
     nonpositive pivot disproves positive definiteness and raises
-    ``NotSpdError`` naming the offending index.
+    ``NotSpdError`` naming the offending index.  The check reads, then
+    frees, SciPy's copies of ``L`` and ``U`` (``_read_pivots``), so
+    ``_lu.L`` and ``_lu.U`` of the result are empty.
     """
     factor = _factor(matrix, order, 0.0)
-    # lu.U makes SciPy build and cache CSC copies of L and U for the factor's lifetime
-    pivots = factor._lu.U.diagonal()
+    pivots = _read_pivots(factor._lu)
     bad = np.flatnonzero(pivots <= 0.0)
     if bad.size:
         k = int(bad[0])
@@ -195,11 +218,11 @@ def factor_symmetric_indefinite(matrix, order) -> Factorization:
     swap replaces it.  With the order of ``saddle_order`` no row swaps on the
     discrete Stokes saddles; an exactly zero pivot still swaps.  A failed
     factorization, or a pivot that vanishes relative to the largest one,
-    raises ``SingularMatrixError``.
+    raises ``SingularMatrixError``.  As in ``factor_spd``, the check reads,
+    then frees, SciPy's copies of ``L`` and ``U``.
     """
     factor = _factor(matrix, order, _SADDLE_PIVOT_THRESH)
-    # lu.U makes SciPy build and cache CSC copies of L and U for the factor's lifetime
-    pivots = factor._lu.U.diagonal()
+    pivots = _read_pivots(factor._lu)
     largest = np.max(np.abs(pivots))
     if largest == 0.0 or np.min(np.abs(pivots)) <= _SINGULAR_PIVOT_RTOL * largest:
         raise SingularMatrixError(

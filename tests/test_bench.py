@@ -241,6 +241,9 @@ def test_verification_suite_all_green(monkeypatch):
     # beta_h at L2-L5 of both pairs
     (inf_sup,) = [o for o in outcomes if o.name == "inf-sup"]
     assert inf_sup.detail.count("L5=") == 2 and inf_sup.detail.count("L4=") == 2
+    # both identities PCG rests on: A_lam's and the load's
+    (identity,) = [o for o in outcomes if o.name == "projected-operator-identity"]
+    assert "P A^-1 rhs(lambda) vs P A^-1 rhs_const" in identity.detail
     # both pairs share one factor of A per level: L2-L3 for the suite, L4-L5
     # for the inf-sup check
     assert len(factored) == 4 and len(set(factored)) == 4
@@ -299,6 +302,40 @@ def test_table_factors_stiffness_once_per_level(monkeypatch):
     order = [("p2p0", 2), ("p2p0", 3), ("p2p1", 2), ("p2p1", 3)]
     assert [(c.pair, c.level) for c in result.cells] == order
     assert [(s.pair, s.level) for s in result.setups] == order
+
+
+def _record_factor_roles(monkeypatch) -> list:
+    """Wrap ``bench.factor_spd`` and ``solver.factor_symmetric_indefinite``;
+    the list gets ``"A"`` or ``"saddle"`` for each call, in call order."""
+    calls = []
+    original_a = bench.factor_spd
+    original_saddle = solver.factor_symmetric_indefinite
+
+    def stiffness(matrix, order=None):
+        calls.append("A")
+        return original_a(matrix, order)
+
+    def saddle(matrix, order):
+        calls.append("saddle")
+        return original_saddle(matrix, order)
+
+    monkeypatch.setattr(bench, "factor_spd", stiffness)
+    monkeypatch.setattr(solver, "factor_symmetric_indefinite", saddle)
+    return calls
+
+
+@pytest.mark.parametrize("pair", ["p2p0", "p2p1"])
+def test_lone_case_factors_saddle_before_stiffness(monkeypatch, pair):
+    # the saddle's pivot check then peaks before the factor of A exists
+    calls = _record_factor_roles(monkeypatch)
+    bench.prepare_case(3, pair)
+    assert calls == ["saddle", "A"]
+
+
+def test_table_factors_first_saddle_of_a_level_before_stiffness(monkeypatch):
+    calls = _record_factor_roles(monkeypatch)
+    run_table_experiment(ExperimentConfig(levels=(2, 3), nu_values=(0.4999,)))
+    assert calls == ["saddle", "A", "saddle"] * 2
 
 
 def _assert_same_csr(a, b):
