@@ -40,7 +40,7 @@ for nu in (0.25, 0.49, 0.4999):
 # $\beta_h = \sqrt{\theta_{\min}}$ (the zero eigenvalue of the constant
 # pressure is skipped), and $\theta_{\max} \le 1$ mirrors the bound
 # $\|\mathrm{div}\, v\| \le \|\varepsilon(v)\|$ on $H^1_0$.  Both ends
-# come from Lanczos runs on the pencil, not from a dense eigensolve.
+# come from one Lanczos run on the pencil, not from a dense eigensolve.
 
 # %%
 for pair in ("p2p0", "p2p1"):

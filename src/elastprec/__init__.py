@@ -18,10 +18,10 @@ from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,
                             factor_spd, factor_symmetric_indefinite,
                             saddle_order)
 from .solver import (InfSupReport, NormEquivalenceError, PcgConvergenceError,
-                     Preconditioner, SolveReport, SpectrumError, StokesProjector,
-                     build_projector,
+                     PencilBounds, Preconditioner, SolveReport, SpectrumError,
+                     StokesProjector, build_projector,
                      dense_preconditioned_spectrum, dense_preconditioner_matrix,
-                     measure_inf_sup, pcg_solve, schur_pencil_eigenvalue,
+                     measure_inf_sup, pcg_solve, schur_pencil_bounds,
                      verify_norm_equivalence)
 from .bench import (BenchCell, BenchResult, ExperimentConfig, PreparedCase,
                     emit_report, poisson_to_lambda, prepare_case,

@@ -14,7 +14,7 @@ import functools
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,10 +25,10 @@ from .fem import (DEFAULT_PROJECTION, PROJECTION_MODES, ManufacturedProblem,
                   compute_errors)
 from .mesh import (MAX_LEVEL, NestedDissection, build_uniform_mesh,
                    check_mesh_memory, nested_dissection)
-from .solver import (PcgConvergenceError, Preconditioner, SpectrumError,
-                     build_projector, dense_preconditioned_spectrum,
+from .solver import (PcgConvergenceError, PencilBounds, Preconditioner,
+                     SpectrumError, build_projector, dense_preconditioned_spectrum,
                      dense_preconditioner_matrix, measure_inf_sup, pcg_solve,
-                     schur_pencil_eigenvalue, verify_norm_equivalence)
+                     schur_pencil_bounds, verify_norm_equivalence)
 from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,
                             factor_spd)
 
@@ -117,9 +117,10 @@ class BenchSetup:
     level builds the level part that both pairs share (mesh, ``A``, load,
     nested dissection and ``A`` factor), so a later pair's ``setup_s``
     excludes it: only ``B``, ``MQ`` and its saddle factor are built there.
-    ``theta_min`` and ``theta_max`` are ``PreparedCase.theta_bounds``.
-    Every field is ``None`` where set-up failed, the thetas also where the
-    pencil failed or no cell asked for a condition number.
+    ``theta_min`` and ``theta_max`` are ``PreparedCase.theta_bounds``, and
+    ``pencil_steps`` the Lanczos steps of its run, which equal its ``A``
+    solves.  Every field is ``None`` where set-up failed, the pencil fields
+    also where the pencil failed or no cell asked for a condition number.
     """
 
     pair: str
@@ -129,6 +130,7 @@ class BenchSetup:
     fill_saddle_nnz: int | None = None
     theta_min: float | None = None
     theta_max: float | None = None
+    pencil_steps: int | None = None
 
 
 @dataclass
@@ -168,23 +170,22 @@ class PreparedCase:
         return self.reduced.rhs(lam, self.projection)
 
     @cached_property
-    def theta_bounds(self) -> tuple[float, float]:
-        """``(theta_min, theta_max)`` of ``B A^{-1} B^T q = theta Pi^{-1} q``.
+    def theta_bounds(self) -> PencilBounds:
+        """theta_min and theta_max of ``B A^{-1} B^T q = theta Pi^{-1} q``.
 
-        Computed on the first condition request and kept: one pair serves
-        every lam.  Where ``Pi`` is the L2 projection (``MQ`` diagonal, or
-        ``projection="exact"``), ``||Pi div v|| <= ||eps(v)||`` on H^1_0
-        bounds theta_max by 1, which makes the upper factor of every
-        condition number 1, so 1.0 stands in for it without a pencil run.
+        Computed on the first condition request by one pencil run, and
+        kept: one pair serves every lam.  Where ``Pi`` is the L2 projection
+        (``MQ`` diagonal, or ``projection="exact"``), ``||Pi div v|| <=
+        ||eps(v)||`` on H^1_0 bounds theta_max by 1, which makes the upper
+        factor of every condition number 1, so the run asks only for
+        theta_min and 1.0 stands in for theta_max.
         """
-        theta_min = schur_pencil_eigenvalue(self.reduced, self.a_factor,
-                                            self.projection)
         mq = self.reduced.MQ
         diagonal_mass = mq.count_nonzero() == np.count_nonzero(mq.diagonal())
-        if self.projection == "exact" or diagonal_mass:
-            return theta_min, 1.0
-        return theta_min, schur_pencil_eigenvalue(self.reduced, self.a_factor,
-                                                  self.projection, largest=True)
+        l2_projection = self.projection == "exact" or diagonal_mass
+        bounds = schur_pencil_bounds(self.reduced, self.a_factor, self.projection,
+                                     largest=not l2_projection)
+        return replace(bounds, theta_max=1.0) if l2_projection else bounds
 
 
 def pressure_kind(pair: str) -> str:
@@ -261,7 +262,8 @@ def sharpened_condition_estimate(case: PreparedCase, lam: float) -> float:
     replaced: the traced mode of ``perfbench`` wraps this module global by
     name to time the condition numbers.
     """
-    theta_min, theta_max = case.theta_bounds
+    bounds = case.theta_bounds
+    theta_min, theta_max = bounds.theta_min, bounds.theta_max
     return (max(1.0, (1.0 + lam * theta_max) / (1.0 + lam))
             / min(1.0, (1.0 + lam * theta_min) / (1.0 + lam)))
 
@@ -309,7 +311,10 @@ def _run_pair(config: ExperimentConfig, part: _LevelPart,
     setup.fill_saddle_nnz = case.projector.factorization.nnz
     cells = [solve_cell(case, nu, config.tolerance) for nu in config.nu_values]
     # read without computing: None unless a cell asked for it
-    setup.theta_min, setup.theta_max = vars(case).get("theta_bounds", (None, None))
+    bounds = vars(case).get("theta_bounds")
+    if bounds is not None:
+        setup.theta_min, setup.theta_max = bounds.theta_min, bounds.theta_max
+        setup.pencil_steps = bounds.steps
     return setup, cells
 
 
@@ -564,11 +569,13 @@ def _check_norm_equivalence(cases, inf_sup, rng) -> str:
 def _check_inf_sup(inf_sup, parts) -> str:
     """beta_h of both pairs at ``_INF_SUP_LEVELS`` and theta_max <= 2.
 
-    ``inf_sup`` holds the L2-L3 reports.  Their largest-end pencil runs
-    are costly beyond L3, because the eigenvalues crowd towards 1 (at L5,
-    over 30k ``A`` solves), so the finer levels read beta_h alone: the
-    smallest-end run of the same pencil, on the level part of ``parts``
-    coupled to each pair's pressure space; no saddle is factored for it.
+    ``inf_sup`` holds the L2-L3 reports.  Beyond L3 the top end of the
+    pencil crowds towards 1, and a run that also reads theta_max is costly:
+    329 / 226 ``A`` solves at L4 and 1185 / 752 at L5 (p2p0 / p2p1), the
+    last past the run's step cap.  So the finer levels read beta_h alone,
+    from a run that asks only for the low end (34 / 30 solves at L5), on
+    the level part of ``parts`` coupled to each pair's pressure space; no
+    saddle is factored for it.
     """
     details = []
     for pair, reports in inf_sup.items():
@@ -581,8 +588,8 @@ def _check_inf_sup(inf_sup, parts) -> str:
             if level not in betas:
                 part = parts[level]
                 reduced = part.stiffness.couple(pressure_kind(pair))
-                betas[level] = float(np.sqrt(schur_pencil_eigenvalue(
-                    reduced, part.a_factor, "exact")))
+                betas[level] = float(np.sqrt(schur_pencil_bounds(
+                    reduced, part.a_factor, "exact").theta_min))
         levels = sorted(betas)
         spread = abs(betas[levels[-1]] - betas[levels[0]]) / betas[levels[-1]]
         _require(spread < 0.2, f"{pair}: inf-sup varies by {spread:.1%} across levels")

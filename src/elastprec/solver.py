@@ -11,7 +11,9 @@ independent of ``lam`` up to the two scalar weights: one stiffness
 factorization and one saddle factorization serve every material parameter.
 The same holds for its spectrum: ``1`` on the divergence-free fields and
 ``(1 + lam theta) / (1 + lam)`` elsewhere, with theta over the nonzero
-eigenvalues of the lam-free pencil of ``schur_pencil_eigenvalue``.
+eigenvalues of the lam-free pencil ``B A^{-1} B^T q = theta Pi^{-1} q``.
+``schur_pencil_bounds`` reads both ends of that spectrum off one Lanczos
+run in the pressure space, one stiffness solve per step.
 
 PCG needs the saddle solve only once.  ``A_lam - A = lam B^T Pi B`` maps
 into the range of ``B^T``, and ``P A^{-1} B^T = 0`` (a saddle solve with
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg import eigh_tridiagonal
 
 from .fem import DEFAULT_PROJECTION, ReducedSystem
 from .mesh import NestedDissection
@@ -44,6 +46,11 @@ from .sparse_linalg import (Factorization, factor_symmetric_indefinite,
 # the seed of its standard normal start vector (so reruns repeat bit for bit).
 _PENCIL_TOL = 1e-8
 _PENCIL_SEED = 0
+# Lanczos steps after which a Schur-pencil run gives up.  The run keeps its
+# basis, one pressure vector per step, in an array that doubles as it
+# fills: at L7 the cap allows 262 MB for p2p0 (32,768 pressures) and
+# 133 MB for p2p1 (16,641), and the last doubling briefly adds 512 rows.
+_PENCIL_MAX_STEPS = 1000
 
 # Largest dimension the dense preconditioner diagnostics accept.
 _DENSE_LIMIT = 2200
@@ -72,6 +79,19 @@ class SolveReport:
 
     iterations: int
     residual_history: np.ndarray
+
+
+@dataclass(frozen=True)
+class PencilBounds:
+    """Extreme nonzero Schur-pencil eigenvalues read off one Lanczos run.
+
+    ``theta_max`` is ``None`` where the run was not asked for it; ``steps``
+    is the run's Lanczos steps, each one ``A`` solve.
+    """
+
+    theta_min: float
+    theta_max: float | None
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -250,55 +270,98 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
     return x, SolveReport(len(history) - 1, np.array(history))
 
 
-def schur_pencil_eigenvalue(reduced: ReducedSystem, a_factor: Factorization,
-                            projection: str = DEFAULT_PROJECTION,
-                            largest: bool = False) -> float:
-    """Extreme nonzero eigenvalue of the pencil ``B A^{-1} B^T q = theta W q``.
+def schur_pencil_bounds(reduced: ReducedSystem, a_factor: Factorization,
+                        projection: str = DEFAULT_PROJECTION,
+                        largest: bool = False) -> PencilBounds:
+    """Extreme nonzero eigenvalues of the pencil ``B A^{-1} B^T q = theta W q``.
 
     ``W`` is the inverse of the pressure projection ``Pi`` of ``projection``:
-    ``MQ`` for ``"exact"``, ``D = diag(MQ)`` for ``"diagonal"``.  ``A^{-1}``
-    is applied through ``a_factor``, the factor of ``reduced.A``, and
-    ``W^{-1}`` the way ``Pi`` is.  ARPACK's symmetric eigensolver
-    (``eigsh``) works in the ``W`` inner product from a seeded start vector
-    to relative residual ``_PENCIL_TOL``, one ``A`` solve per step.
+    ``MQ`` for ``"exact"``, ``D = diag(MQ)`` for ``"diagonal"``.  One Lanczos
+    run on ``q -> Pi B A^{-1} B^T q`` in the ``W`` inner product returns
+    theta_min, and theta_max too where ``largest``; each step makes one
+    ``A`` solve through ``a_factor``, the factor of ``reduced.A``.  The run
+    starts from a seeded standard normal vector (so reruns repeat bit for
+    bit) and keeps its whole basis, reorthogonalized twice per step.  It
+    reads the Ritz residual ``beta_j |s_j|`` of each asked end at every
+    step and stops once each is at most ``_PENCIL_TOL`` times its Ritz
+    value, or where the Krylov space is exhausted (the Ritz values are then
+    exact).
 
-    ``B^T 1 = 0``, so the constant pressure is an eigenvector with theta 0.
-    The largest-end run leaves it there.  The smallest-end run moves it to
-    the Rayleigh quotient of the start vector's nonconstant part, which lies
-    inside the nonzero spectrum, by adding ``sigma W 1 (W 1)^T / 1^T W 1``.
+    ``B^T 1 = 0``, so the constant pressure is an eigenvector with theta 0,
+    and the operator maps into its ``W``-orthogonal complement.  Rounding
+    brings it back, and Lanczos would amplify it, so the start vector and
+    every reorthogonalization pass drop their ``W``-component along it.
 
-    Raises ``SpectrumError`` if the run does not converge or the value is
-    not positive (an unstable pair).
+    Raises ``SpectrumError`` if the run meets a non-finite value, does not
+    converge within ``_PENCIL_MAX_STEPS`` steps, or theta_min is not
+    positive (an unstable pair).
     """
-    w = reduced.MQ if projection == "exact" else sp.diags_array(reduced.D)
-    n = w.shape[0]
-    w_one = w @ np.ones(n)
-    mass = float(w_one.sum())
+    if projection == "exact":
+        mq = reduced.MQ
 
-    def schur(q):
-        return reduced.B @ a_factor.solve(reduced.BT @ q)
-
-    start = np.random.default_rng(_PENCIL_SEED).standard_normal(n)
-    if largest:
-        shift = 0.0
+        def weigh(q):
+            return mq @ q
     else:
-        v = start - (w_one @ start) / mass
-        shift = float(v @ schur(v)) / float(v @ (w @ v))
-    op = LinearOperator((n, n), dtype=float, matvec=lambda q: (
-        schur(q) + shift * (w_one @ q) / mass * w_one))
-    w_inverse = LinearOperator((n, n), dtype=float, matvec=lambda q: (
-        reduced.pressure_projection_apply(q, projection)))
-    which = "LA" if largest else "SA"
-    try:
-        theta = float(eigsh(op, k=1, M=w, Minv=w_inverse, which=which, v0=start,
-                            tol=_PENCIL_TOL, return_eigenvectors=False)[0])
-    except ArpackNoConvergence as exc:
-        raise SpectrumError(f"Schur pencil ({projection} projection, {which}) "
-                            f"did not converge: {exc}") from exc
-    if not theta > 0.0:
+        d = reduced.D
+
+        def weigh(q):
+            return d * q
+    n = reduced.B.shape[0]
+    w_one = weigh(np.ones(n))
+    mass = float(w_one.sum())
+    max_steps = _PENCIL_MAX_STEPS
+    basis = np.empty((min(32, max_steps), n))
+    alphas, betas = np.empty(max_steps), np.empty(max_steps)
+    ends = (0, -1) if largest else (0,)
+    found = {}      # end -> its Ritz value, once converged
+
+    u = np.random.default_rng(_PENCIL_SEED).standard_normal(n)
+    u -= (w_one @ u) / mass
+    beta = math.sqrt(u @ weigh(u))
+    # the W-orthogonal complement of the constant has n - 1 dimensions
+    for k in range(min(max_steps, n - 1)):
+        if k == basis.shape[0]:
+            grown = np.empty((min(2 * k, max_steps), n))
+            grown[:k] = basis
+            basis = grown
+        basis[k] = u / beta
+        u = reduced.pressure_projection_apply(
+            reduced.B @ a_factor.solve(reduced.BT @ basis[k]), projection)
+        alpha = 0.0
+        for _ in range(2):
+            h = basis[:k + 1] @ weigh(u)
+            u -= h @ basis[:k + 1]
+            u -= (w_one @ u) / mass
+            alpha += h[k]
+        beta = math.sqrt(u @ weigh(u))
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise SpectrumError(f"Schur pencil ({projection} projection) met a "
+                                f"non-finite value at Lanczos step {k + 1}")
+        alphas[k], betas[k] = alpha, beta
+        exact = beta == 0.0 or k + 1 == n - 1
+        worst = 0.0
+        for end in ends:
+            if end in found:
+                continue
+            index = end % (k + 1)
+            theta, s = eigh_tridiagonal(alphas[:k + 1], betas[:k], select="i",
+                                        select_range=(index, index),
+                                        check_finite=False)
+            residual = beta * abs(s[-1, 0])
+            if exact or residual <= _PENCIL_TOL * abs(theta[0]):
+                found[end] = float(theta[0])
+            else:
+                worst = max(worst, residual)
+        if len(found) == len(ends):
+            break
+    else:
+        raise SpectrumError(f"Schur pencil ({projection} projection) did not "
+                            f"converge in {max_steps} Lanczos steps (Ritz "
+                            f"residual {worst:.3e})")
+    if not found[0] > 0.0:
         raise SpectrumError(f"Schur pencil has a nonpositive eigenvalue "
-                            f"{theta:.3e}; the pair is unstable")
-    return theta
+                            f"{found[0]:.3e}; the pair is unstable")
+    return PencilBounds(theta_min=found[0], theta_max=found.get(-1), steps=k + 1)
 
 
 def measure_inf_sup(reduced: ReducedSystem, a_factor: Factorization) -> InfSupReport:
@@ -306,12 +369,11 @@ def measure_inf_sup(reduced: ReducedSystem, a_factor: Factorization) -> InfSupRe
 
     ``beta_h`` is the square root of the smallest nonzero eigenvalue of
     ``B A^{-1} B^T q = theta MQ q``, ``theta_max`` its largest; ``a_factor``
-    is the factor of ``reduced.A``.
+    is the factor of ``reduced.A``.  Both come from one pencil run.
     """
-    theta_min = schur_pencil_eigenvalue(reduced, a_factor, "exact")
-    return InfSupReport(beta_h=float(np.sqrt(theta_min)),
-                        theta_max=schur_pencil_eigenvalue(reduced, a_factor, "exact",
-                                                          largest=True))
+    bounds = schur_pencil_bounds(reduced, a_factor, "exact", largest=True)
+    return InfSupReport(beta_h=float(np.sqrt(bounds.theta_min)),
+                        theta_max=bounds.theta_max)
 
 
 def verify_norm_equivalence(reduced: ReducedSystem, projector: StokesProjector,

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from elastprec.bench import (ExperimentConfig, emit_report, poisson_to_lambda,
                              run_table_experiment, run_verification_suite)
@@ -120,6 +119,8 @@ def test_json_round_trip(small_result):
     # P0 mass is diagonal, so Pi is the L2 projection and theta_max its bound
     assert setup["theta_min"] == pytest.approx(0.4305595181, rel=1e-9)
     assert setup["theta_max"] == 1.0
+    # the Lanczos steps of its one pencil run, which asked for theta_min alone
+    assert setup["pencil_steps"] == 22
 
 
 def test_setup_seconds_time_prepare_case(monkeypatch):
@@ -142,6 +143,53 @@ def test_json_theta_max_of_diagonal_p1_projection():
     (setup,) = payload["setups"]
     assert setup["theta_min"] == pytest.approx(0.1275802308, rel=1e-9)
     assert setup["theta_max"] == pytest.approx(1.3397079942, rel=1e-9)
+    # both ends from one run
+    assert setup["pencil_steps"] == 24
+
+
+def _record_pencil_runs(monkeypatch) -> list:
+    """Wrap ``bench.schur_pencil_bounds``; each run appends (pressures, bounds)."""
+    runs = []
+    original = bench.schur_pencil_bounds
+
+    def recorded(reduced, *args, **kwargs):
+        bounds = original(reduced, *args, **kwargs)
+        runs.append((reduced.B.shape[0], bounds))
+        return bounds
+
+    monkeypatch.setattr(bench, "schur_pencil_bounds", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("pair, most_solves", [("p2p0", 36), ("p2p1", 60)])
+def test_theta_bounds_is_one_pencil_run(monkeypatch, pair, most_solves):
+    case = bench.prepare_case(4, pair)
+    runs = _record_pencil_runs(monkeypatch)
+    solves = []
+    solve = case.a_factor.solve
+
+    def counted(rhs):
+        solves.append(rhs.shape)
+        return solve(rhs)
+
+    monkeypatch.setattr(case.a_factor, "solve", counted)
+    bounds = case.theta_bounds
+    assert case.theta_bounds is bounds
+    ((_, run),) = runs
+    assert (run.theta_min, run.steps) == (bounds.theta_min, bounds.steps)
+    # each Lanczos step is one A solve
+    assert len(solves) == bounds.steps <= most_solves
+    assert 0.0 < bounds.theta_min < bounds.theta_max
+
+
+def test_table_runs_one_pencil_per_pair_and_level(monkeypatch):
+    runs = _record_pencil_runs(monkeypatch)
+    result = run_table_experiment(ExperimentConfig(levels=(2, 3)))
+    # p2p0 has one pressure per cell, p2p1 one per vertex
+    case_of = {32: ("p2p0", 2), 128: ("p2p0", 3), 25: ("p2p1", 2), 81: ("p2p1", 3)}
+    assert sorted(case_of[n] for n, _ in runs) == sorted(case_of.values())
+    assert {case_of[n]: b.steps for n, b in runs} == {
+        (s.pair, s.level): s.pencil_steps for s in result.setups}
 
 
 def test_deterministic_reports(small_result):
@@ -512,7 +560,7 @@ def test_cli_bench_condition_estimate_failure(monkeypatch, capsys):
     def unstable(*args, **kwargs):
         raise SpectrumError("forced unstable pencil")
 
-    monkeypatch.setattr(bench, "schur_pencil_eigenvalue", unstable)
+    monkeypatch.setattr(bench, "schur_pencil_bounds", unstable)
     code = cli.main(["bench", "--pair", "p2p0", "--levels", "2", "--nu", "0.25"])
     assert code == cli.EXIT_SOLVER
     captured = capsys.readouterr()
@@ -520,12 +568,8 @@ def test_cli_bench_condition_estimate_failure(monkeypatch, capsys):
     assert "forced unstable pencil" in captured.err
 
 
-def _no_convergence(*args, **kwargs):
-    raise ArpackNoConvergence("forced stall", np.array([]), np.array([]))
-
-
 def test_cli_bench_pencil_no_convergence(monkeypatch, capsys):
-    monkeypatch.setattr(solver, "eigsh", _no_convergence)
+    monkeypatch.setattr(solver, "_PENCIL_MAX_STEPS", 1)
     code = cli.main(["bench", "--pair", "p2p0", "--levels", "2", "--nu", "0.25",
                      "--format", "json"])
     assert code == cli.EXIT_SOLVER
@@ -533,17 +577,19 @@ def test_cli_bench_pencil_no_convergence(monkeypatch, capsys):
     payload = json.loads(captured.out)
     assert payload["cells"][0]["error"].startswith("Schur pencil")
     assert payload["setups"][0]["theta_min"] is None
-    assert "did not converge" in captured.err and "forced stall" in captured.err
+    assert "did not converge" in captured.err and "in 1 Lanczos steps" in captured.err
 
 
 def test_pencil_nonpositive_eigenvalue_raises(monkeypatch, case_p2p0_l2):
-    monkeypatch.setattr(solver, "eigsh", lambda *args, **kwargs: np.array([0.0]))
+    # a zero stiffness inverse makes the Schur operator zero
+    a_factor = case_p2p0_l2.a_factor
+    monkeypatch.setattr(a_factor, "solve", lambda rhs: np.zeros_like(rhs))
     with pytest.raises(SpectrumError, match="nonpositive"):
-        solver.schur_pencil_eigenvalue(case_p2p0_l2.reduced, case_p2p0_l2.a_factor)
+        solver.schur_pencil_bounds(case_p2p0_l2.reduced, a_factor)
 
 
 def test_cli_verify_pencil_failure(monkeypatch, capsys):
-    monkeypatch.setattr(solver, "eigsh", _no_convergence)
+    monkeypatch.setattr(solver, "_PENCIL_MAX_STEPS", 1)
     assert cli.main(["verify"]) == cli.EXIT_VERIFY
     failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL")]
@@ -570,7 +616,8 @@ def test_json_setup_record_of_failed_setup(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["setups"] == [{"pair": "p2p1", "level": 0, "setup_s": None,
                                   "fill_a_nnz": None, "fill_saddle_nnz": None,
-                                  "theta_min": None, "theta_max": None}]
+                                  "theta_min": None, "theta_max": None,
+                                  "pencil_steps": None}]
 
 
 def test_cli_verify_inf_sup_failure(monkeypatch, capsys):

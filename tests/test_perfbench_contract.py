@@ -86,3 +86,39 @@ def test_table_times_each_stiffness_factor_inside_a_set_up():
             span = recorder.spans[span[spans.PARENT]]
             ancestors.append(span[spans.NAME])
         assert "bench.prepare_case" in ancestors
+
+
+def test_table_condition_estimates_time_exactly_the_pencil():
+    # traced condest_s measures the Schur-pencil run: all its A solves lie
+    # inside the condest span of a case's first cell, and no later cell's
+    # condest span holds any
+    config = bench.ExperimentConfig(levels=(2, 3))
+    recorder = spans.Recorder(0)
+    recorder.install(traced=True)
+    try:
+        result = workloads.WORKLOADS["table"].run(config)
+    finally:
+        recorder.restore()
+
+    def enclosing(index, name):
+        while index is not None and recorder.spans[index][spans.NAME] != name:
+            index = recorder.spans[index][spans.PARENT]
+        return index
+
+    solves_in = {}
+    for i, span in enumerate(recorder.spans):
+        if span[spans.NAME] == "sparse_linalg.solve_A":
+            condest = enclosing(span[spans.PARENT], "solver.condest")
+            solves_in[condest] = solves_in.get(condest, 0) + 1
+    cell_spans = [i for i, s in enumerate(recorder.spans)
+                  if s[spans.NAME] == "bench.solve_cell"]
+    assert len(cell_spans) == len(recorder.solved) == len(result.cells)
+    per_case = {}
+    for i, (cell, _) in zip(cell_spans, recorder.solved):
+        (condest,) = [j for j, s in enumerate(recorder.spans)
+                      if s[spans.NAME] == "solver.condest" and s[spans.PARENT] == i]
+        per_case.setdefault((cell.pair, cell.level), []).append(solves_in.get(condest, 0))
+    for setup in result.setups:
+        first, *later = per_case[(setup.pair, setup.level)]
+        assert first == setup.pencil_steps > 0
+        assert later == [0] * (len(config.nu_values) - 1)

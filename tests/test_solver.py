@@ -11,7 +11,7 @@ from elastprec.sparse_linalg import factor_spd
 from elastprec.solver import (NormEquivalenceError, PcgConvergenceError,
                               Preconditioner, dense_preconditioned_spectrum,
                               dense_preconditioner_matrix, measure_inf_sup,
-                              pcg_solve, schur_pencil_eigenvalue,
+                              pcg_solve, schur_pencil_bounds,
                               verify_norm_equivalence)
 
 
@@ -321,11 +321,14 @@ def test_schur_pencil_matches_dense(level, pair, projection):
     # the smallest eigenvalue is the constant pressure's zero
     dense = scipy.linalg.eigh(0.5 * (schur + schur.T), w, eigvals_only=True)
     assert abs(dense[0]) <= 1e-12 * dense[-1]
-    for largest, expected in ((False, dense[1]), (True, dense[-1])):
-        theta = schur_pencil_eigenvalue(red, case.a_factor, projection, largest)
-        np.testing.assert_allclose(theta, expected, rtol=1e-8)
-        assert schur_pencil_eigenvalue(red, case.a_factor, projection,
-                                       largest) == theta
+    # both ends from one run
+    bounds = schur_pencil_bounds(red, case.a_factor, projection, largest=True)
+    np.testing.assert_allclose([bounds.theta_min, bounds.theta_max],
+                               [dense[1], dense[-1]], rtol=1e-8)
+    assert schur_pencil_bounds(red, case.a_factor, projection, largest=True) == bounds
+    low = schur_pencil_bounds(red, case.a_factor, projection)
+    assert low.theta_max is None
+    np.testing.assert_allclose(low.theta_min, dense[1], rtol=1e-8)
 
 
 def test_coarse_condition_cells_match_dense_spectrum():
