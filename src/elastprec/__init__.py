@@ -17,11 +17,10 @@ from .fem import (AssembledSystem, DofSpace, ManufacturedProblem,
 from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,
                             factor_spd, factor_symmetric_indefinite,
                             saddle_order)
-from .solver import (InfSupReport, NormEquivalenceError, PcgConvergenceError,
-                     PencilBounds, Preconditioner, SolveReport, SpectrumError,
-                     StokesProjector, build_projector,
-                     dense_preconditioned_spectrum, dense_preconditioner_matrix,
-                     measure_inf_sup, pcg_solve, schur_pencil_bounds,
+from .solver import (NormEquivalenceError, PcgConvergenceError, PencilBounds,
+                     Preconditioner, SolveReport, SpectrumError, StokesProjector,
+                     build_projector, dense_preconditioned_spectrum,
+                     dense_preconditioner_matrix, pcg_solve, schur_pencil_bounds,
                      verify_norm_equivalence)
 from .bench import (BenchCell, BenchResult, ExperimentConfig, PreparedCase,
                     emit_report, poisson_to_lambda, prepare_case,

@@ -27,8 +27,8 @@ from .mesh import (MAX_LEVEL, NestedDissection, build_uniform_mesh,
                    check_mesh_memory, nested_dissection)
 from .solver import (PcgConvergenceError, PencilBounds, Preconditioner,
                      SpectrumError, build_projector, dense_preconditioned_spectrum,
-                     dense_preconditioner_matrix, measure_inf_sup, pcg_solve,
-                     schur_pencil_bounds, verify_norm_equivalence)
+                     dense_preconditioner_matrix, pcg_solve, schur_pencil_bounds,
+                     verify_norm_equivalence)
 from .sparse_linalg import (Factorization, NotSpdError, SingularMatrixError,
                             factor_spd)
 
@@ -487,6 +487,12 @@ def _check_fourier_symbol_inverse(rng) -> str:
     return f"max scaled residual {worst:.3e} over 500 modes"
 
 
+def _a_norm_defect(reduced, x, reference) -> float:
+    """``||x - reference||_A / ||reference||_A``."""
+    diff = x - reference
+    return float(np.sqrt(diff @ (reduced.A @ diff) / (reference @ (reduced.A @ reference))))
+
+
 def _check_projection(cases, rng) -> str:
     worst_idem = worst_div = 0.0
     for case in cases:
@@ -494,10 +500,9 @@ def _check_projection(cases, rng) -> str:
         for _ in range(20):
             v = rng.standard_normal(reduced.dim)
             pv = case.projector.project(v)
-            ppv = case.projector.project(pv)
+            worst_idem = max(worst_idem, _a_norm_defect(
+                reduced, case.projector.project(pv), pv))
             anorm = np.sqrt(pv @ (reduced.A @ pv))
-            diff = ppv - pv
-            worst_idem = max(worst_idem, np.sqrt(diff @ (reduced.A @ diff)) / anorm)
             worst_div = max(worst_div, np.linalg.norm(reduced.B @ pv) / anorm)
     _require(worst_idem <= 1e-10, f"projection idempotency defect {worst_idem:.3e}")
     _require(worst_div <= 1e-10, f"projected divergence {worst_div:.3e}")
@@ -511,17 +516,9 @@ def _check_one_step_projection(case, rng) -> str:
         g = rng.standard_normal(reduced.dim)
         one = case.projector.project_dual(g)
         two = case.projector.project(case.a_factor.solve(g))
-        scale = np.sqrt(one @ (reduced.A @ one))
-        diff = one - two
-        worst = max(worst, np.sqrt(diff @ (reduced.A @ diff)) / scale)
+        worst = max(worst, _a_norm_defect(reduced, two, one))
     _require(worst <= 1e-10, f"one-step vs two-step projection differ by {worst:.3e}")
     return f"max A-norm difference {worst:.3e}"
-
-
-def _a_norm_defect(reduced, x, reference) -> float:
-    """``||x - reference||_A / ||reference||_A``."""
-    diff = x - reference
-    return float(np.sqrt(diff @ (reduced.A @ diff) / (reference @ (reduced.A @ reference))))
 
 
 def _check_projected_operator(cases, rng) -> str:
@@ -554,36 +551,39 @@ def _check_projected_operator(cases, rng) -> str:
             f"load P A^-1 rhs(lambda) vs P A^-1 rhs_const: {detail_load}")
 
 
-def _check_norm_equivalence(cases, inf_sup, rng) -> str:
+def _check_norm_equivalence(cases, pencils, rng) -> str:
     details = []
     for case in cases:
         reduced = case.reduced
-        report = inf_sup[case.pair][case.level]
+        beta_h = float(np.sqrt(pencils[case.pair][case.level].theta_min))
         for _ in range(50):
             v = rng.standard_normal(reduced.dim)
-            verify_norm_equivalence(reduced, case.projector, report.beta_h, v)
-        details.append(f"{case.pair}@L{case.level}: beta_h={report.beta_h:.4f}")
+            verify_norm_equivalence(reduced, case.projector, beta_h, v)
+        details.append(f"{case.pair}@L{case.level}: beta_h={beta_h:.4f}")
     return "; ".join(details)
 
 
-def _check_inf_sup(inf_sup, parts) -> str:
+def _check_inf_sup(pencils) -> str:
     """beta_h of both pairs at ``_INF_SUP_LEVELS`` and theta_max <= 2.
 
-    ``inf_sup`` holds the L2-L3 reports.  Beyond L3 the top end of the
-    pencil crowds towards 1, and a run that also reads theta_max is costly:
-    329 / 226 ``A`` solves at L4 and 1185 / 752 at L5 (p2p0 / p2p1), the
-    last past the run's step cap.  So the finer levels read beta_h alone,
-    from a run that asks only for the low end (34 / 30 solves at L5), on
-    the level part of ``parts`` coupled to each pair's pressure space; no
-    saddle is factored for it.
+    beta_h is ``sqrt(theta_min)`` of the exact-projection pencil
+    ``B A^{-1} B^T q = theta MQ q``.  ``pencils`` holds its L2-L3 bounds,
+    theta_max included.  Beyond L3 the top end of the pencil crowds
+    towards 1, and a run that also reads theta_max is costly: 329 / 226
+    ``A`` solves at L4 and 1185 / 752 at L5 (p2p0 / p2p1), the last past
+    the run's step cap.  So the finer levels read beta_h alone, from a run
+    that asks only for the low end (34 / 30 solves at L5), on a level part
+    built here and coupled to each pair's pressure space; no saddle is
+    factored for it, and the parts are freed on return.
     """
+    parts = {level: _LevelPart(level) for level in _INF_SUP_LEVELS}
     details = []
-    for pair, reports in inf_sup.items():
+    for pair, by_level in pencils.items():
         betas = {}
-        for level, r in reports.items():
-            _require(r.theta_max <= 2.0 + 1e-8,
-                     f"{pair}@L{level}: theta_max {r.theta_max:.6f} exceeds 2")
-            betas[level] = r.beta_h
+        for level, bounds in by_level.items():
+            _require(bounds.theta_max <= 2.0 + 1e-8,
+                     f"{pair}@L{level}: theta_max {bounds.theta_max:.6f} exceeds 2")
+            betas[level] = float(np.sqrt(bounds.theta_min))
         for level in _INF_SUP_LEVELS:
             if level not in betas:
                 part = parts[level]
@@ -593,10 +593,10 @@ def _check_inf_sup(inf_sup, parts) -> str:
         levels = sorted(betas)
         spread = abs(betas[levels[-1]] - betas[levels[0]]) / betas[levels[-1]]
         _require(spread < 0.2, f"{pair}: inf-sup varies by {spread:.1%} across levels")
-        measured = sorted(reports)
+        measured = sorted(by_level)
         details.append(f"{pair}: beta_h " +
                        ", ".join(f"L{l}={betas[l]:.4f}" for l in levels) +
-                       f", theta_max <= {max(r.theta_max for r in reports.values()):.6f}"
+                       f", theta_max <= {max(b.theta_max for b in by_level.values()):.6f}"
                        f" at L{measured[0]}-L{measured[-1]}")
     return "; ".join(details)
 
@@ -698,35 +698,28 @@ def run_fourier_checks(seed: int = 0) -> list[CheckOutcome]:
 def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
     """Run every identity/property check; returns one outcome per check."""
     rng = np.random.default_rng(seed)
-    # built on first use: L4-L5 serve only the inf-sup check
-    parts = {level: _LevelPart(level) for level in _INF_SUP_LEVELS}
+    parts = {level: _LevelPart(level) for level in (2, 3)}
     cases = {(pair, level): prepare_case(level, pair, _shared=parts[level])
              for pair in PAIRS for level in (2, 3)}
     l23 = list(cases.values())
     l3 = [cases[("p2p0", 3)], cases[("p2p1", 3)]]
 
     @functools.cache
-    def inf_sup():
-        # measured once for both checks that read it; a failure is not
-        # cached, so each of them reports it
-        reports = {pair: {} for pair in PAIRS}
+    def pencils():
+        # read once for both checks that use them; a failure is not cached,
+        # so each of them reports it
+        bounds = {pair: {} for pair in PAIRS}
         for (pair, level), case in cases.items():
-            reports[pair][level] = measure_inf_sup(case.reduced, case.a_factor)
-        return reports
-
-    def check_inf_sup():
-        detail = _check_inf_sup(inf_sup(), parts)
-        # L4-L5 serve this check alone: free their factors before the dense checks
-        for level in set(parts) - {2, 3}:
-            del parts[level]
-        return detail
+            bounds[pair][level] = schur_pencil_bounds(case.reduced, case.a_factor,
+                                                      "exact", largest=True)
+        return bounds
 
     return _run_checks(_fourier_checks(rng) + [
         ("projection-idempotent-and-divergence", lambda: _check_projection(l23, rng)),
         ("projection-one-step-equals-two-step",
          lambda: _check_one_step_projection(cases[("p2p0", 2)], rng)),
-        ("norm-equivalence", lambda: _check_norm_equivalence(l23, inf_sup(), rng)),
-        ("inf-sup", check_inf_sup),
+        ("norm-equivalence", lambda: _check_norm_equivalence(l23, pencils(), rng)),
+        ("inf-sup", lambda: _check_inf_sup(pencils())),
         ("preconditioner-symmetry",
          lambda: _check_preconditioner_symmetry(cases[("p2p1", 2)], rng)),
         ("dense-spectrum-cross-check", lambda: _check_dense_cross_check(l23)),

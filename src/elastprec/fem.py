@@ -150,9 +150,6 @@ class ManufacturedProblem:
     def displacement(self, points: np.ndarray) -> np.ndarray:
         return self.displacement_and_gradient(points)[0]
 
-    def displacement_gradient(self, points: np.ndarray) -> np.ndarray:
-        return self.displacement_and_gradient(points)[1]
-
     def body_force(self, points: np.ndarray) -> np.ndarray:
         return np.pi**2 * self.displacement(points)
 
@@ -440,18 +437,18 @@ class ReducedSystem(ReducedStiffness):
 
     def lambda_matrix(self, lam: float,
                       projection: str = DEFAULT_PROJECTION) -> sp.csr_array:
-        """Explicit sparse ``A_lam`` (only needed for direct factorization).
+        """Explicit sparse ``A_lam`` of the diagonal projection.
 
-        With ``projection="exact"`` the triple product fills in; that path is
-        meant for small dense diagnostics only.
+        The exact projection's ``B^T MQ^{-1} B`` is dense, so that operator
+        is applied by ``apply_lambda`` alone and asking for it here raises
+        ``ValueError``.
         """
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
-        if projection == "diagonal":
-            scaled = sp.diags_array(1.0 / self.D) @ self.B
-        else:
-            scaled = sp.csr_array(
-                self.pressure_projection_apply(self.B.toarray(), projection))
+        if projection != "diagonal":
+            raise ValueError(f"A_lam is formed for the diagonal projection only; "
+                             f"apply the {projection!r} one with apply_lambda")
+        scaled = sp.diags_array(1.0 / self.D) @ self.B
         return (self.A + lam * (self.BT @ scaled)).tocsr()
 
     def rhs(self, lam: float, projection: str = DEFAULT_PROJECTION) -> np.ndarray:

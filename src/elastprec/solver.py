@@ -51,6 +51,10 @@ _PENCIL_SEED = 0
 # fills: at L7 the cap allows 262 MB for p2p0 (32,768 pressures) and
 # 133 MB for p2p1 (16,641), and the last doubling briefly adds 512 rows.
 _PENCIL_MAX_STEPS = 1000
+# PCG steps after which a run gives up.
+_PCG_MAX_ITERATIONS = 500
+# How far below zero either side of the norm equivalence may fall.
+_NORM_SLACK = 1e-10
 
 # Largest dimension the dense preconditioner diagnostics accept.
 _DENSE_LIMIT = 2200
@@ -92,12 +96,6 @@ class PencilBounds:
     theta_min: float
     theta_max: float | None
     steps: int
-
-
-@dataclass(frozen=True)
-class InfSupReport:
-    beta_h: float
-    theta_max: float
 
 
 class StokesProjector:
@@ -173,8 +171,7 @@ class Preconditioner:
                 + self.plain_weight * self.a_factor.solve(g))
 
 
-def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
-              max_iterations: int = 500):
+def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6):
     """Conjugate gradients preconditioned with ``M`` of ``Preconditioner``.
 
     The iteration stops on the true relative residual ``||b - A x|| / ||b||``,
@@ -204,7 +201,8 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
     Raises
     ------
     PcgConvergenceError
-        If the iteration cap is hit before the tolerance, if ``p'Ap`` or
+        If ``_PCG_MAX_ITERATIONS`` steps (or as many as ``rhs`` has
+        entries) do not reach the tolerance, if ``p'Ap`` or
         ``r'z`` is not positive, or at the first step whose ``p'Ap``, ``r'z``
         or residual is not finite.
     """
@@ -230,7 +228,7 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6,
     z = w * z_hat + w_plain * a_solve(r)
     rz = float(r @ z)
     p, p_hat = z.copy(), z_hat.copy()
-    target = min(max_iterations, rhs.size)
+    target = min(_PCG_MAX_ITERATIONS, rhs.size)
 
     for k in range(target):
         ap = op(p)
@@ -364,25 +362,15 @@ def schur_pencil_bounds(reduced: ReducedSystem, a_factor: Factorization,
     return PencilBounds(theta_min=found[0], theta_max=found.get(-1), steps=k + 1)
 
 
-def measure_inf_sup(reduced: ReducedSystem, a_factor: Factorization) -> InfSupReport:
-    """Inf-sup constant of the velocity/pressure pair of ``reduced``.
-
-    ``beta_h`` is the square root of the smallest nonzero eigenvalue of
-    ``B A^{-1} B^T q = theta MQ q``, ``theta_max`` its largest; ``a_factor``
-    is the factor of ``reduced.A``.  Both come from one pencil run.
-    """
-    bounds = schur_pencil_bounds(reduced, a_factor, "exact", largest=True)
-    return InfSupReport(beta_h=float(np.sqrt(bounds.theta_min)),
-                        theta_max=bounds.theta_max)
-
-
 def verify_norm_equivalence(reduced: ReducedSystem, projector: StokesProjector,
-                            beta_h: float, v: np.ndarray, slack: float = 1e-10):
+                            beta_h: float, v: np.ndarray):
     """Check ``beta_h <= ||Pi_h div v|| / ||eps(v - P v)|| <= sqrt(2)``.
 
-    Returns the two slack values ``(dv - beta_h * e, sqrt(2) * e - dv)``;
-    both must be at least ``-slack``, otherwise ``NormEquivalenceError``
-    is raised.  The pressure mass is factored once per system and reused.
+    ``beta_h`` is the inf-sup constant, the square root of theta_min of
+    ``schur_pencil_bounds`` with the exact projection.  Returns the two
+    slack values ``(dv - beta_h * e, sqrt(2) * e - dv)``; both must be at
+    least ``-_NORM_SLACK``, otherwise ``NormEquivalenceError`` is raised.
+    The pressure mass is factored once per system and reused.
     """
     bv = reduced.B @ v
     dv = float(np.sqrt(bv @ reduced.mq_factor.solve(bv)))
@@ -391,7 +379,7 @@ def verify_norm_equivalence(reduced: ReducedSystem, projector: StokesProjector,
 
     lower_slack = dv - beta_h * e
     upper_slack = np.sqrt(2.0) * e - dv
-    if lower_slack < -slack or upper_slack < -slack:
+    if lower_slack < -_NORM_SLACK or upper_slack < -_NORM_SLACK:
         raise NormEquivalenceError(
             f"divergence/strain ratio violates [{beta_h:.6f}, sqrt(2)]: "
             f"dv={dv:.6e}, e={e:.6e}")
@@ -416,9 +404,10 @@ def dense_preconditioned_spectrum(reduced: ReducedSystem, lam: float,
     """Eigenvalues of the preconditioned operator ``M A_lam``, ascending.
 
     Uses the congruence ``eig(M A_lam) = eig(R^T A_lam R)`` with
-    ``M = R R^T``, which keeps the problem symmetric.
+    ``M = R R^T``, which keeps the problem symmetric.  ``A_lam`` is
+    ``apply_lambda`` of the identity.
     """
     m = dense_preconditioner_matrix(reduced, lam, a_factor, projector)
     chol = np.linalg.cholesky(m)
-    a_lam = reduced.lambda_matrix(lam, projection).toarray()
+    a_lam = reduced.apply_lambda(lam, np.eye(reduced.dim), projection)
     return np.linalg.eigvalsh(chol.T @ a_lam @ chol)

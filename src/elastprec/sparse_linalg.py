@@ -2,9 +2,8 @@
 
 Factorizations wrap SuperLU in symmetric mode and share one body; they
 differ only in the pivot threshold and the pivot check.  SuperLU permutes
-no column: each matrix is factored in the elimination order it is given, or
-in its own index order when given none (small matrices only).  Every order
-the program uses comes from a geometric nested dissection of the mesh
+no column: each matrix is factored in the elimination order it is given.
+Every order comes from a geometric nested dissection of the mesh
 (``mesh.nested_dissection``).  The SPD path factors the stiffness matrix in
 its dissection's dof order and the pressure mass in the dissection of the
 pressure nodes.  The saddle path factors ``[[A, B^T], [B, 0]]`` in a
@@ -66,12 +65,11 @@ class Factorization:
     """Direct factorization wrapping a SuperLU object.
 
     ``order`` is the elimination order the matrix was permuted by before
-    SuperLU saw it (``K[order][:, order]``), or ``None`` when it was
-    factored in its own index order.
+    SuperLU saw it (``K[order][:, order]``).
     """
 
     _lu: object
-    order: np.ndarray | None = None
+    order: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -81,8 +79,6 @@ class Factorization:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``K x = rhs``; ``rhs`` may be a vector or a dense block."""
         rhs = np.asarray(rhs, dtype=float)
-        if self.order is None:
-            return self._lu.solve(rhs)
         x = np.empty_like(rhs)
         x[self.order] = self._lu.solve(rhs[self.order])
         return x
@@ -94,9 +90,8 @@ def _factor(matrix, order, diag_pivot_thresh: float) -> Factorization:
     csc = sp.csc_array(matrix)
     if csc.shape[0] != csc.shape[1]:
         raise ValueError(f"square matrix required, got shape {csc.shape}")
-    if order is not None:
-        order = np.asarray(order)
-        csc = csc[order][:, order]
+    order = np.asarray(order)
+    csc = csc[order][:, order]
     try:
         lu = splu(csc, permc_spec="NATURAL", diag_pivot_thresh=diag_pivot_thresh,
                   options=dict(SymmetricMode=True))
@@ -121,16 +116,14 @@ def _read_pivots(lu) -> np.ndarray:
     return pivots
 
 
-def factor_spd(matrix, order=None) -> Factorization:
+def factor_spd(matrix, order) -> Factorization:
     """Factor a symmetric positive definite sparse matrix.
 
-    Factors ``matrix[order][:, order]`` in that order, or, with ``order``
-    ``None``, in the matrix's own index order, which suits only small
-    matrices.  SuperLU permutes no column and pivots no row, so pivot ``k``
-    eliminates row ``order[k]`` (row ``k`` without an order) and the pivot
-    sequence is exactly the diagonal of the triangular factor; any
-    nonpositive pivot disproves positive definiteness and raises
-    ``NotSpdError`` naming the offending index.  The check reads, then
+    Factors ``matrix[order][:, order]`` in that order.  SuperLU permutes no
+    column and pivots no row, so pivot ``k`` eliminates row ``order[k]``
+    and the pivot sequence is exactly the diagonal of the triangular
+    factor; any nonpositive pivot disproves positive definiteness and
+    raises ``NotSpdError`` naming the offending index.  The check reads, then
     frees, SciPy's copies of ``L`` and ``U`` (``_read_pivots``), so
     ``_lu.L`` and ``_lu.U`` of the result are empty.
     """
@@ -139,9 +132,8 @@ def factor_spd(matrix, order=None) -> Factorization:
     bad = np.flatnonzero(pivots <= 0.0)
     if bad.size:
         k = int(bad[0])
-        row = k if factor.order is None else int(factor.order[k])
-        raise NotSpdError(
-            f"matrix is not SPD: pivot {k} (original row {row}) is {pivots[k]:.3e}")
+        raise NotSpdError(f"matrix is not SPD: pivot {k} (original row "
+                          f"{factor.order[k]}) is {pivots[k]:.3e}")
     return factor
 
 

@@ -333,7 +333,7 @@ def _count_stiffness_factors(monkeypatch) -> list:
     sizes = []
     original = bench.factor_spd
 
-    def counting(matrix, order=None):
+    def counting(matrix, order):
         sizes.append(matrix.shape[0])
         return original(matrix, order)
 
@@ -359,7 +359,7 @@ def _record_factor_roles(monkeypatch) -> list:
     original_a = bench.factor_spd
     original_saddle = solver.factor_symmetric_indefinite
 
-    def stiffness(matrix, order=None):
+    def stiffness(matrix, order):
         calls.append("A")
         return original_a(matrix, order)
 
@@ -423,7 +423,7 @@ def test_stiffness_failure_fails_both_pairs_of_its_level(monkeypatch):
     original = bench.factor_spd
     l2_size = bench.prepare_case(2).reduced.dim
 
-    def indefinite_at_l2(matrix, order=None):
+    def indefinite_at_l2(matrix, order):
         return original(-matrix if matrix.shape[0] == l2_size else matrix, order)
 
     monkeypatch.setattr(bench, "factor_spd", indefinite_at_l2)
@@ -621,10 +621,15 @@ def test_json_setup_record_of_failed_setup(capsys):
 
 
 def test_cli_verify_inf_sup_failure(monkeypatch, capsys):
-    def unstable(reduced, a_factor):
-        raise SpectrumError("forced unstable pair")
+    original = bench.schur_pencil_bounds
 
-    monkeypatch.setattr(bench, "measure_inf_sup", unstable)
+    def unstable_exact(reduced, a_factor, projection, largest=False):
+        # only the inf-sup constant reads the exact-projection pencil here
+        if projection == "exact":
+            raise SpectrumError("forced unstable pair")
+        return original(reduced, a_factor, projection, largest)
+
+    monkeypatch.setattr(bench, "schur_pencil_bounds", unstable_exact)
     assert cli.main(["verify"]) == cli.EXIT_VERIFY
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL")]

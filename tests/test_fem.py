@@ -59,7 +59,7 @@ def test_displacement_gradient_matches_symbolic():
     problem = ManufacturedProblem()
     rng = np.random.default_rng(4)
     pts = rng.uniform(0, 1, size=(20, 2))
-    got = problem.displacement_gradient(pts)
+    got = problem.displacement_and_gradient(pts)[1]
     for i in range(2):
         for j in range(2):
             np.testing.assert_allclose(got[:, i, j],
@@ -72,7 +72,7 @@ def test_displacement_and_gradient_equal_the_separate_fields():
     for problem in (ManufacturedProblem(), _QuadraticProblem()):
         u, grad = problem.displacement_and_gradient(pts)
         np.testing.assert_array_equal(u, problem.displacement(pts))
-        np.testing.assert_array_equal(grad, problem.displacement_gradient(pts))
+        np.testing.assert_array_equal(grad, problem.displacement_and_gradient(pts)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +401,13 @@ def test_lambda_operator_matrix_matches_application():
     system = _small_system("p1")
     rng = np.random.default_rng(9)
     v = rng.standard_normal(system.dim)
-    for projection in ("diagonal", "exact"):
-        mat = system.lambda_matrix(3.5, projection)
-        np.testing.assert_allclose(
-            mat @ v, system.apply_lambda(3.5, v, projection),
-            rtol=1e-12, atol=1e-12)
+    mat = system.lambda_matrix(3.5, "diagonal")
+    np.testing.assert_allclose(
+        mat @ v, system.apply_lambda(3.5, v, "diagonal"),
+        rtol=1e-12, atol=1e-12)
+    # the exact projection's A_lam is dense: it is only applied
+    with pytest.raises(ValueError, match="apply_lambda"):
+        system.lambda_matrix(3.5, "exact")
 
 
 @pytest.mark.parametrize("fixture", ["case_p2p0_l2", "case_p2p1_l2"])
@@ -525,7 +527,7 @@ def test_reduced_operator_symmetry_and_spd():
     kx, ky = reduced.apply_lambda(lam, x), reduced.apply_lambda(lam, y)
     scale = np.linalg.norm(kx) * np.linalg.norm(y)
     assert abs(kx @ y - x @ ky) <= 1e-12 * scale
-    factor_spd(reduced.lambda_matrix(lam))  # raises if not SPD
+    factor_spd(reduced.lambda_matrix(lam), np.arange(reduced.dim))  # raises if not SPD
 
 
 def test_expand_roundtrip():
@@ -590,7 +592,7 @@ def _per_cell_errors(u_coeffs, problem, V):
     flat = (p0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)).reshape(-1, 2)
     shape = (V.mesh.num_cells, rule.num_points)
     u = problem.displacement(flat).reshape(shape + (2,))
-    gu = problem.displacement_gradient(flat).reshape(shape + (2, 2))
+    gu = problem.displacement_and_gradient(flat)[1].reshape(shape + (2, 2))
     l2 = np.sqrt(np.sum(w * np.sum((uh - u) ** 2, axis=-1)))
     h1 = np.sqrt(np.sum(w * np.sum((guh - gu) ** 2, axis=(-2, -1))))
     return l2, h1

@@ -3,20 +3,26 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
+from elastprec import solver
 from elastprec.bench import (NU_DEFAULT, ExperimentConfig, poisson_to_lambda,
                              prepare_case, run_table_experiment,
                              sharpened_condition_estimate, solve_cell)
 from elastprec.sparse_linalg import factor_spd
 from elastprec.solver import (NormEquivalenceError, PcgConvergenceError,
                               Preconditioner, dense_preconditioned_spectrum,
-                              dense_preconditioner_matrix, measure_inf_sup,
-                              pcg_solve, schur_pencil_bounds,
-                              verify_norm_equivalence)
+                              dense_preconditioner_matrix, pcg_solve,
+                              schur_pencil_bounds, verify_norm_equivalence)
 
 
 def _anorm(reduced, v):
     return np.sqrt(v @ (reduced.A @ v))
+
+
+def _inf_sup_bounds(case):
+    """Bounds of the exact-projection pencil; beta_h is sqrt(theta_min)."""
+    return schur_pencil_bounds(case.reduced, case.a_factor, "exact", largest=True)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +134,13 @@ def test_pcg_solves_the_system(case_p2p1_l3):
     assert report.residual_history[-1] <= 1e-6
 
 
-def test_pcg_iteration_cap_raises_with_history(case_p2p0_l2):
+def test_pcg_iteration_cap_raises_with_history(case_p2p0_l2, monkeypatch):
     case = case_p2p0_l2
     lam = poisson_to_lambda(0.4999)
     rhs = case.rhs(lam)
+    monkeypatch.setattr(solver, "_PCG_MAX_ITERATIONS", 3)
     with pytest.raises(PcgConvergenceError) as err:
-        pcg_solve(case.operator(lam), rhs, case.preconditioner(lam),
-                  tol=1e-12, max_iterations=3)
+        pcg_solve(case.operator(lam), rhs, case.preconditioner(lam), tol=1e-12)
     report = err.value.report
     assert report.iterations == 3
     assert len(report.residual_history) == 4
@@ -254,7 +260,7 @@ def test_pcg_energy_error_monotone(case_p2p0_l2):
     lam = poisson_to_lambda(0.499)
     rhs = case.rhs(lam)
     a_lam = case.reduced.lambda_matrix(lam)
-    exact = factor_spd(a_lam).solve(rhs)
+    exact = factor_spd(a_lam, np.arange(a_lam.shape[0])).solve(rhs)
     op, precond = case.operator(lam), case.preconditioner(lam)
     _, report = pcg_solve(op, rhs, precond, tol=1e-10)
     energies = []
@@ -364,18 +370,17 @@ def test_iterations_within_cg_bound(table_l45):
 
 def test_inf_sup_positive_and_bounded(cases_l23):
     for case in cases_l23:
-        red = case.reduced
-        report = measure_inf_sup(red, case.a_factor)
-        assert 0.0 < report.beta_h <= 1.0
-        assert report.theta_max <= 2.0 + 1e-8
+        bounds = _inf_sup_bounds(case)
+        assert 0.0 < np.sqrt(bounds.theta_min) <= 1.0
+        assert bounds.theta_max <= 2.0 + 1e-8
 
 
 def test_inf_sup_mesh_independence(case_p2p0_l2, case_p2p0_l3,
                                    case_p2p1_l2, case_p2p1_l3):
     for coarse, fine in ((case_p2p0_l2, case_p2p0_l3),
                          (case_p2p1_l2, case_p2p1_l3)):
-        b2 = measure_inf_sup(coarse.reduced, coarse.a_factor).beta_h
-        b3 = measure_inf_sup(fine.reduced, fine.a_factor).beta_h
+        b2 = np.sqrt(_inf_sup_bounds(coarse).theta_min)
+        b3 = np.sqrt(_inf_sup_bounds(fine).theta_min)
         assert abs(b3 - b2) / b3 < 0.2
 
 
@@ -384,7 +389,7 @@ def test_norm_equivalence_divergence_free_input(case_p2p0_l2):
     red = case.reduced
     rng = np.random.default_rng(31)
     v = case.projector.project(rng.standard_normal(red.dim))
-    mq_factor = factor_spd(red.MQ)
+    mq_factor = factor_spd(red.MQ, np.arange(red.MQ.shape[0]))
     bv = red.B @ v
     dv = np.sqrt(bv @ mq_factor.solve(bv))
     d = v - case.projector.project(v)
@@ -396,7 +401,7 @@ def test_norm_equivalence_ratio_bounds(cases_l23):
     rng = np.random.default_rng(32)
     for case in cases_l23:
         red = case.reduced
-        beta = measure_inf_sup(red, case.a_factor).beta_h
+        beta = np.sqrt(_inf_sup_bounds(case).theta_min)
         for _ in range(50):
             v = rng.standard_normal(red.dim)
             lower, upper = verify_norm_equivalence(red, case.projector, beta, v)
@@ -428,6 +433,25 @@ def test_exact_inverse_identity(case_p2p0_l2):
     expected = 0.5 * (expected + expected.T)
     rel = np.linalg.norm(np.linalg.inv(m) - expected) / np.linalg.norm(expected)
     assert rel <= 1e-8
+
+
+@pytest.mark.parametrize("projection", ["diagonal", "exact"])
+@pytest.mark.parametrize("pair", ["p2p0", "p2p1"])
+def test_dense_spectrum_of_applied_operator_equals_formed_matrix(pair, projection):
+    # A_lam is read as apply_lambda of the identity; the reference forms it
+    # as a matrix, with the projection applied to the densified B
+    case = prepare_case(2, pair, projection)
+    red = case.reduced
+    scaled = sp.csr_array(red.pressure_projection_apply(red.B.toarray(), projection))
+    for nu in (0.0, 0.25, 0.4999):
+        lam = poisson_to_lambda(nu)
+        a_lam = (red.A + lam * (red.BT @ scaled)).toarray()
+        m = dense_preconditioner_matrix(red, lam, case.a_factor, case.projector)
+        chol = np.linalg.cholesky(m)
+        expected = np.linalg.eigvalsh(chol.T @ a_lam @ chol)
+        got = dense_preconditioned_spectrum(red, lam, case.a_factor, case.projector,
+                                            projection)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, err_msg=f"nu={nu}")
 
 
 def test_dense_spectrum_bounds(case_p2p1_l2):

@@ -14,21 +14,21 @@ from elastprec.sparse_linalg import (NotSpdError, SingularMatrixError,
 
 
 def test_spd_identity():
-    f = factor_spd(sp.eye_array(5, format="csc"))
+    f = factor_spd(sp.eye_array(5, format="csc"), np.arange(5))
     b = np.arange(5.0)
     np.testing.assert_allclose(f.solve(b), b)
 
 
 def test_spd_2x2_hand_elimination():
     K = sp.csc_array(np.array([[4.0, 1.0], [1.0, 3.0]]))
-    x = factor_spd(K).solve(np.array([1.0, 1.0]))
+    x = factor_spd(K, np.arange(2)).solve(np.array([1.0, 1.0]))
     np.testing.assert_allclose(x, [2.0 / 11.0, 3.0 / 11.0], rtol=1e-14)
 
 
 def test_spd_rejects_indefinite_matrix():
     K = sp.csc_array(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
     with pytest.raises(NotSpdError, match="pivot"):
-        factor_spd(K)
+        factor_spd(K, np.arange(2))
 
 
 def test_spd_names_original_row_in_given_order():
@@ -39,7 +39,7 @@ def test_spd_names_original_row_in_given_order():
 
 def test_spd_backward_stability(case_p2p0_l2):
     A = case_p2p0_l2.reduced.A
-    f = factor_spd(A)
+    f = factor_spd(A, np.arange(A.shape[0]))
     rng = np.random.default_rng(12)
     for _ in range(20):
         b = rng.standard_normal(A.shape[0])
@@ -248,7 +248,8 @@ def test_stiffness_factor_keeps_its_order(level):
 
 def test_factorization_deterministic(case_p2p0_l2):
     A = case_p2p0_l2.reduced.A
-    f1, f2 = factor_spd(A), factor_spd(A)
+    order = np.arange(A.shape[0])
+    f1, f2 = factor_spd(A, order), factor_spd(A, order)
     np.testing.assert_array_equal(f1._lu.perm_c, f2._lu.perm_c)
     b = np.ones(A.shape[0])
     np.testing.assert_array_equal(f1.solve(b), f2.solve(b))
