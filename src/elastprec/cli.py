@@ -29,14 +29,25 @@ def _parse_floats(text: str):
     return tuple(float(part) for part in text.split(","))
 
 
-@contextlib.contextmanager
+def _parse_seed(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+class _ConfigError(Exception):
+    """A configuration error: ``main`` prints it and returns ``EXIT_CONFIG``."""
+
+
 def _output(path):
-    """Yield ``sys.stdout``, or the file ``path`` opened for writing."""
+    """``sys.stdout``, or the file ``path`` opened for writing, as a context
+    manager.  Called once the inputs are validated and before any work."""
     if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w") as stream:
-            yield stream
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise _ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     fourier = sub.add_parser("fourier-check",
                              help="run the verification suite's periodic-mode checks")
-    fourier.add_argument("--seed", type=int, default=0)
+    fourier.add_argument("--seed", type=_parse_seed, default=0)
     fourier.add_argument("--out", default=None, metavar="FILE")
 
     verify = sub.add_parser("verify", help="run the release verification suite")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_parse_seed, default=0)
     verify.add_argument("--out", default=None, metavar="FILE")
 
     info = sub.add_parser("mesh-info", help="mesh statistics and optional dump")
@@ -87,11 +98,9 @@ def _cmd_bench(args) -> int:
                                   max_level_guard=args.max_level_guard,
                                   projection=args.projection)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    result = run_table_experiment(config)
+        raise _ConfigError(exc) from exc
     with _output(args.out) as stream:
+        result = run_table_experiment(config)
         stream.write(emit_report(result, fmt))
         stream.write("\n")
     if any(cell.error for cell in result.cells):
@@ -102,8 +111,9 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _write_outcomes(outcomes, path) -> int:
+def _write_outcomes(run_checks, seed: int, path) -> int:
     with _output(path) as stream:
+        outcomes = run_checks(seed=seed)
         for outcome in outcomes:
             status = "PASS" if outcome.passed else "FAIL"
             stream.write(f"{status} {outcome.name}: {outcome.detail}\n")
@@ -111,19 +121,18 @@ def _write_outcomes(outcomes, path) -> int:
 
 
 def _cmd_fourier(args) -> int:
-    return _write_outcomes(run_fourier_checks(seed=args.seed), args.out)
+    return _write_outcomes(run_fourier_checks, args.seed, args.out)
 
 
 def _cmd_verify(args) -> int:
-    return _write_outcomes(run_verification_suite(seed=args.seed), args.out)
+    return _write_outcomes(run_verification_suite, args.seed, args.out)
 
 
 def _cmd_mesh_info(args) -> int:
     try:
         mesh = build_uniform_mesh(args.level)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _ConfigError(exc) from exc
     with _output(args.out) as stream:
         stream.write(f"level {mesh.level}: h = {mesh.h}, "
                      f"{mesh.num_vertices} vertices, {mesh.num_cells} cells, "
@@ -144,7 +153,11 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "mesh-info": _cmd_mesh_info,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

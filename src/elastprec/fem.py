@@ -67,14 +67,13 @@ class DofSpace:
     """Degree-of-freedom layout of one finite-element space.
 
     For vector spaces the scalar dofs are blocked by component: dof ``s``
-    carries the x-component and ``num_scalar_dofs + s`` the y-component.
+    carries the x-component and ``len(dof_points) + s`` the y-component.
     ``dirichlet_mask`` flags dofs attached to boundary vertices/edges and is
     populated for vector spaces only (pressures carry no constraints).
     """
 
     mesh: Mesh
     kind: str
-    num_scalar_dofs: int
     dof_count: int
     cell_dofs: np.ndarray
     dof_points: np.ndarray
@@ -87,11 +86,14 @@ class DofSpace:
         Per cell: the scaled weights ``(nt, nq)`` and the inverse-transpose
         Jacobian ``(nt, 2, 2)``; and the physical rule points, flattened
         to ``(nt * nq, 2)``.  Problem-free, so the load and the errors share it.
+        Jacobian data is computed per cell shape and gathered by its index.
         """
         rule = RULE_DEGREE6
-        p0, jac, det, inv_t = _geometry(self.mesh)
-        points = p0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
-        return _scaled_weights(rule, det), inv_t, points.reshape(-1, 2)
+        jac, shape = _cell_shapes(self.mesh)
+        det, inv_t = _det_inv_t(jac)
+        p0 = self.mesh.vertices[self.mesh.cells[:, 0]]
+        points = p0[:, None, :] + np.einsum("tab,qb->tqa", jac[shape], rule.points)
+        return _scaled_weights(rule, det[shape]), inv_t[shape], points.reshape(-1, 2)
 
 
 def build_space(mesh: Mesh, kind: str) -> DofSpace:
@@ -102,11 +104,11 @@ def build_space(mesh: Mesh, kind: str) -> DofSpace:
     if kind == "p0":
         nt = mesh.num_cells
         centroids = mesh.vertices[mesh.cells].mean(axis=1)
-        return DofSpace(mesh, kind, nt, nt,
+        return DofSpace(mesh, kind, nt,
                         np.arange(nt, dtype=np.int64)[:, None], centroids)
     if kind == "p1":
         nv = mesh.num_vertices
-        return DofSpace(mesh, kind, nv, nv, mesh.cells.copy(), mesh.vertices.copy())
+        return DofSpace(mesh, kind, nv, mesh.cells.copy(), mesh.vertices.copy())
 
     nv = mesh.num_vertices
     scalar_dofs = nv + mesh.num_edges
@@ -114,7 +116,7 @@ def build_space(mesh: Mesh, kind: str) -> DofSpace:
     points = np.vstack([mesh.vertices, mesh.edge_midpoints()])
     scalar_boundary = np.concatenate([mesh.boundary_vertex_flags, mesh.boundary_edge_flags])
     return DofSpace(
-        mesh, kind, scalar_dofs, 2 * scalar_dofs,
+        mesh, kind, 2 * scalar_dofs,
         np.hstack([scalar_cell_dofs, scalar_cell_dofs + scalar_dofs]),
         points,
         dirichlet_mask=np.concatenate([scalar_boundary, scalar_boundary]),
@@ -198,12 +200,6 @@ def _det_inv_t(jac: np.ndarray):
     inv_t[:, 1, 1] = jac[:, 0, 0]
     inv_t /= det[:, None, None]
     return det, inv_t
-
-
-def _geometry(mesh: Mesh):
-    """Per cell: first vertex, Jacobian, its determinant and inverse transpose."""
-    p0, jac = _jacobians(mesh)
-    return (p0, jac, *_det_inv_t(jac))
 
 
 def _physical_grads(jac: np.ndarray, rule: TriangleRule):

@@ -16,7 +16,6 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TriangleRule:
-    degree: int
     points: np.ndarray   # (nq, 2)
     weights: np.ndarray  # (nq,)
 
@@ -39,7 +38,7 @@ def _orbit6(a: float, b: float) -> list[tuple[float, float, float]]:
     return [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
 
 
-def _make_rule(degree: int, groups) -> TriangleRule:
+def _make_rule(groups) -> TriangleRule:
     pts, wts = [], []
     for weight, bary_points in groups:
         for bary in bary_points:
@@ -51,20 +50,20 @@ def _make_rule(degree: int, groups) -> TriangleRule:
     weights = 0.5 * np.array(wts)  # normalized weights sum to 1; ref area is 1/2
     points.setflags(write=False)
     weights.setflags(write=False)
-    return TriangleRule(degree=degree, points=points, weights=weights)
+    return TriangleRule(points=points, weights=weights)
 
 
 _S15 = sqrt(15.0)
 
 # 7-point rule, exact for polynomials of total degree <= 5.
-RULE_DEGREE5 = _make_rule(5, [
+RULE_DEGREE5 = _make_rule([
     (9.0 / 40.0, _orbit1()),
     ((155.0 - _S15) / 1200.0, _orbit3((6.0 - _S15) / 21.0)),
     ((155.0 + _S15) / 1200.0, _orbit3((6.0 + _S15) / 21.0)),
 ])
 
 # 12-point rule, exact for polynomials of total degree <= 6.
-RULE_DEGREE6 = _make_rule(6, [
+RULE_DEGREE6 = _make_rule([
     (0.116786275726379, _orbit3(0.249286745170910)),
     (0.050844906370207, _orbit3(0.063089014491502)),
     (0.082851075618374, _orbit6(0.053145049844816, 0.310352451033785)),

@@ -46,10 +46,10 @@ from .sparse_linalg import (Factorization, factor_symmetric_indefinite,
 # the seed of its standard normal start vector (so reruns repeat bit for bit).
 _PENCIL_TOL = 1e-8
 _PENCIL_SEED = 0
-# Lanczos steps after which a Schur-pencil run gives up.  The run keeps its
-# basis, one pressure vector per step, in an array that doubles as it
-# fills: at L7 the cap allows 262 MB for p2p0 (32,768 pressures) and
-# 133 MB for p2p1 (16,641), and the last doubling briefly adds 512 rows.
+# Lanczos steps after which a Schur-pencil run gives up.  The run's basis, one
+# pressure vector per step, is one array of min(cap, n - 1) rows allocated up
+# front, of which only the rows written are committed: at L7 it reserves 262 MB
+# of address space for p2p0 (32,768 pressures) and 133 MB for p2p1 (16,641).
 _PENCIL_MAX_STEPS = 1000
 # PCG steps after which a run gives up.
 _PCG_MAX_ITERATIONS = 500
@@ -118,7 +118,7 @@ class StokesProjector:
         b_pinned = B[:-1]
         saddle = sp.block_array([[A, b_pinned.T], [b_pinned, None]], format="csc")
         self.factorization: Factorization = factor_symmetric_indefinite(
-            saddle, saddle_order(dissection.dof_order, b_pinned, dissection))
+            saddle, saddle_order(b_pinned, dissection))
 
     def project_dual(self, g: np.ndarray) -> np.ndarray:
         """Velocity block of the saddle solve with momentum data ``g``.
@@ -160,7 +160,6 @@ class Preconditioner:
                  projector: StokesProjector):
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
-        self.lam = lam
         self.a_factor = a_factor
         self.projector = projector
         self.projected_weight = lam / (1.0 + lam)
@@ -308,7 +307,8 @@ def schur_pencil_bounds(reduced: ReducedSystem, a_factor: Factorization,
     w_one = weigh(np.ones(n))
     mass = float(w_one.sum())
     max_steps = _PENCIL_MAX_STEPS
-    basis = np.empty((min(32, max_steps), n))
+    # the W-orthogonal complement of the constant has n - 1 dimensions
+    basis = np.empty((min(max_steps, n - 1), n))
     alphas, betas = np.empty(max_steps), np.empty(max_steps)
     ends = (0, -1) if largest else (0,)
     found = {}      # end -> its Ritz value, once converged
@@ -316,12 +316,7 @@ def schur_pencil_bounds(reduced: ReducedSystem, a_factor: Factorization,
     u = np.random.default_rng(_PENCIL_SEED).standard_normal(n)
     u -= (w_one @ u) / mass
     beta = math.sqrt(u @ weigh(u))
-    # the W-orthogonal complement of the constant has n - 1 dimensions
-    for k in range(min(max_steps, n - 1)):
-        if k == basis.shape[0]:
-            grown = np.empty((min(2 * k, max_steps), n))
-            grown[:k] = basis
-            basis = grown
+    for k in range(basis.shape[0]):
         basis[k] = u / beta
         u = reduced.pressure_projection_apply(
             reduced.B @ a_factor.solve(reduced.BT @ basis[k]), projection)
@@ -386,11 +381,10 @@ def verify_norm_equivalence(reduced: ReducedSystem, projector: StokesProjector,
     return lower_slack, upper_slack
 
 
-def dense_preconditioner_matrix(reduced: ReducedSystem, lam: float,
-                                a_factor: Factorization,
+def dense_preconditioner_matrix(lam: float, a_factor: Factorization,
                                 projector: StokesProjector) -> np.ndarray:
-    """The preconditioner as a dense matrix (small problems only)."""
-    n = reduced.dim
+    """The preconditioner as a dense matrix of ``A``'s size (small problems only)."""
+    n = projector.n_velocity
     if n > _DENSE_LIMIT:
         raise ValueError(f"dense preconditioner limited to {_DENSE_LIMIT} dofs, got {n}")
     m = Preconditioner(lam, a_factor, projector).apply(np.eye(n))
@@ -407,7 +401,7 @@ def dense_preconditioned_spectrum(reduced: ReducedSystem, lam: float,
     ``M = R R^T``, which keeps the problem symmetric.  ``A_lam`` is
     ``apply_lambda`` of the identity.
     """
-    m = dense_preconditioner_matrix(reduced, lam, a_factor, projector)
+    m = dense_preconditioner_matrix(lam, a_factor, projector)
     chol = np.linalg.cholesky(m)
     a_lam = reduced.apply_lambda(lam, np.eye(reduced.dim), projection)
     return np.linalg.eigvalsh(chol.T @ a_lam @ chol)

@@ -7,8 +7,8 @@ Every order comes from a geometric nested dissection of the mesh
 (``mesh.nested_dissection``).  The SPD path factors the stiffness matrix in
 its dissection's dof order and the pressure mass in the dissection of the
 pressure nodes.  The saddle path factors ``[[A, B^T], [B, 0]]`` in a
-constrained order built from the velocity order and its dissection: the
-velocities keep that order, and each pressure is eliminated inside the
+constrained order built from the dissection of the velocity nodes: the
+velocities keep its dof order, and each pressure is eliminated inside the
 smallest dissection subtree that holds at least two of its velocity nodes,
 right after its last-eliminated neighbour there, so by the time a zero
 diagonal entry of the pressure block is reached it has filled in, and a
@@ -137,16 +137,14 @@ def factor_spd(matrix, order) -> Factorization:
     return factor
 
 
-def saddle_order(velocity_order: np.ndarray, b,
-                 dissection: NestedDissection) -> np.ndarray:
+def saddle_order(b, dissection: NestedDissection) -> np.ndarray:
     """Elimination order of the saddle ``[[A, B^T], [B, 0]]``.
 
-    ``velocity_order`` is the elimination order of ``A`` and ``b`` the
-    (pinned) constraint matrix, one row per pressure.  ``dissection`` is the
-    nested dissection of the ``m`` velocity nodes that ``velocity_order``
-    was built from (its ``dof_order``); the velocity dofs are blocked by
-    component, so dof ``j`` belongs to node ``j % m``.  Velocities keep
-    their order.
+    ``b`` is the (pinned) constraint matrix, one row per pressure, and
+    ``dissection`` the nested dissection of the ``m`` velocity nodes.  The
+    velocities keep its ``dof_order``, the order ``A`` is factored in: the
+    subtree rule below holds for that order only.  The velocity dofs are
+    blocked by component, so dof ``j`` belongs to node ``j % m``.
 
     The neighbours of a pressure are the nodes of its row of ``b``.  It is
     placed in the smallest subtree of the dissection (a leaf included) that
@@ -163,9 +161,9 @@ def saddle_order(velocity_order: np.ndarray, b,
     if np.any(neighbours == 0):
         raise SingularMatrixError("a pressure dof has no velocity neighbour, "
                                   "so the saddle matrix is singular")
-    velocity_pos = np.empty(len(velocity_order), dtype=np.int64)
-    velocity_pos[velocity_order] = np.arange(velocity_pos.size)
     num_nodes = dissection.path.size
+    velocity_pos = np.empty(2 * num_nodes, dtype=np.int64)
+    velocity_pos[dissection.dof_order] = np.arange(velocity_pos.size)
     # one (pressure, node) pair per neighbour node, at its last-eliminated dof
     pair = (np.repeat(np.arange(b.shape[0], dtype=np.int64), neighbours) * num_nodes
             + b.indices % num_nodes)

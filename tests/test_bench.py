@@ -511,6 +511,47 @@ def test_cli_bench_repeated_entry_is_config_error(grid, capsys):
     assert "is listed more than once" in captured.err
 
 
+def _refuse_run(*args, **kwargs):
+    raise AssertionError("the run started")
+
+
+_CLI_RUNS = ("run_table_experiment", "run_verification_suite", "run_fourier_checks")
+
+
+@pytest.mark.parametrize("argv", [["bench", "--pair", "p2p0", "--levels", "2..2"],
+                                  ["verify"], ["fourier-check"],
+                                  ["mesh-info", "--level", "2"]])
+def test_cli_unwritable_out_is_config_error_before_any_run(argv, tmp_path, monkeypatch,
+                                                           capsys):
+    for name in _CLI_RUNS:
+        monkeypatch.setattr(cli, name, _refuse_run)
+    out = tmp_path / "missing" / "report.txt"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+
+
+def test_cli_config_error_leaves_existing_out_untouched(tmp_path):
+    out = tmp_path / "table.md"
+    out.write_text("kept\n")
+    assert cli.main(["bench", "--levels", "12", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "fourier-check"])
+def test_cli_negative_seed_is_config_error(command, monkeypatch, capsys):
+    for name in _CLI_RUNS:
+        monkeypatch.setattr(cli, name, _refuse_run)
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--seed", "-1"])
+    assert exited.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--seed" in err and "Traceback" not in err
+
+
 def _diverge(op, rhs, *args, **kwargs):
     raise PcgConvergenceError("forced divergence", None)
 

@@ -17,19 +17,25 @@ def rule_error(rule, a, b):
     return abs(approx - reference_monomial_integral(a, b))
 
 
-@pytest.mark.parametrize("rule", [RULE_DEGREE5, RULE_DEGREE6])
-def test_rule_exact_to_stated_degree(rule):
+# each rule with the degree its name states, under the ids that
+# parametrizing by the rule alone gives
+RULES = [pytest.param(RULE_DEGREE5, 5, id="rule0"),
+         pytest.param(RULE_DEGREE6, 6, id="rule1")]
+
+
+@pytest.mark.parametrize("rule,degree", RULES)
+def test_rule_exact_to_stated_degree(rule, degree):
     # the 12-point rule's published constants carry 15 digits, so allow
     # a couple of ulps on integrals of size up to 1/2
-    for total in range(rule.degree + 1):
+    for total in range(degree + 1):
         for a in range(total + 1):
-            assert rule_error(rule, a, total - a) <= 2e-15, (rule.degree, a, total - a)
+            assert rule_error(rule, a, total - a) <= 2e-15, (degree, a, total - a)
 
 
-@pytest.mark.parametrize("rule", [RULE_DEGREE5, RULE_DEGREE6])
-def test_rule_not_exact_beyond_degree(rule):
-    worst = max(rule_error(rule, a, rule.degree + 1 - a)
-                for a in range(rule.degree + 2))
+@pytest.mark.parametrize("rule,degree", RULES)
+def test_rule_not_exact_beyond_degree(rule, degree):
+    worst = max(rule_error(rule, a, degree + 1 - a)
+                for a in range(degree + 2))
     assert worst > 1e-8
 
 

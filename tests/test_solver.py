@@ -426,7 +426,7 @@ def test_exact_inverse_identity(case_p2p0_l2):
     red = case.reduced
     lam = 7.5
     n = red.dim
-    m = dense_preconditioner_matrix(red, lam, case.a_factor, case.projector)
+    m = dense_preconditioner_matrix(lam, case.a_factor, case.projector)
     a = red.A.toarray()
     p = case.projector.project_dual(red.A @ np.eye(n))
     expected = a + lam * (a @ (np.eye(n) - p))
@@ -446,7 +446,7 @@ def test_dense_spectrum_of_applied_operator_equals_formed_matrix(pair, projectio
     for nu in (0.0, 0.25, 0.4999):
         lam = poisson_to_lambda(nu)
         a_lam = (red.A + lam * (red.BT @ scaled)).toarray()
-        m = dense_preconditioner_matrix(red, lam, case.a_factor, case.projector)
+        m = dense_preconditioner_matrix(lam, case.a_factor, case.projector)
         chol = np.linalg.cholesky(m)
         expected = np.linalg.eigvalsh(chol.T @ a_lam @ chol)
         got = dense_preconditioned_spectrum(red, lam, case.a_factor, case.projector,

@@ -53,12 +53,17 @@ def test_indefinite_swap():
     np.testing.assert_allclose(f.solve(np.array([1.0, 2.0])), [2.0, 1.0])
 
 
+def _dissection(case):
+    """The nested dissection of the free velocity nodes of ``case``'s level,
+    whose dof order its ``A`` is factored in (the build is deterministic)."""
+    return bench._LevelPart(case.level).dissection
+
+
 def test_unpinned_stokes_matrix_is_singular(case_p2p0_l2):
     red = case_p2p0_l2.reduced
     saddle = sp.block_array([[red.A, red.B.T], [red.B, None]], format="csc")
     with pytest.raises(SingularMatrixError):
-        factor_symmetric_indefinite(
-            saddle, saddle_order(case_p2p0_l2.a_factor.order, red.B, case_p2p0_l2.dissection))
+        factor_symmetric_indefinite(saddle, saddle_order(red.B, _dissection(case_p2p0_l2)))
 
 
 def test_saddle_solve_matches_dense_oracle(case_p2p0_l2):
@@ -66,7 +71,7 @@ def test_saddle_solve_matches_dense_oracle(case_p2p0_l2):
     keep = np.arange(red.B.shape[0] - 1)
     saddle = sp.block_array([[red.A, red.B[keep].T], [red.B[keep], None]],
                             format="csc")
-    order = saddle_order(case_p2p0_l2.a_factor.order, red.B[keep], case_p2p0_l2.dissection)
+    order = saddle_order(red.B[keep], _dissection(case_p2p0_l2))
     f = factor_symmetric_indefinite(saddle, order)
     rng = np.random.default_rng(13)
     b = rng.standard_normal(saddle.shape[0])
@@ -104,7 +109,7 @@ def _positions(order):
     return positions
 
 
-def _reference_saddle_order(case, b):
+def _reference_saddle_order(case, dissection, b):
     """The subtree rule, one pressure at a time, as stated.
 
     Take the smallest subtree that holds every neighbour node except those
@@ -118,7 +123,7 @@ def _reference_saddle_order(case, b):
     keys = []
     for q in range(b.shape[0]):
         dofs = b.indices[b.indptr[q]:b.indptr[q + 1]]
-        cuts = {int(j) % m: _node_cuts(case.dissection, int(j) % m) for j in dofs}
+        cuts = {int(j) % m: _node_cuts(dissection, int(j) % m) for j in dofs}
         homes = {_home(c) for c in cuts.values()}
         candidates = {h[:k] for h in homes for k in range(len(h) + 1)}
 
@@ -145,7 +150,8 @@ def test_saddle_order_respects_velocity_order(fixture, request):
     red = case.reduced
     n, m = red.dim, red.dim // 2
     b_pinned = red.B[np.arange(red.B.shape[0] - 1)]
-    order = saddle_order(case.a_factor.order, b_pinned, case.dissection)
+    dissection = _dissection(case)
+    order = saddle_order(b_pinned, dissection)
     np.testing.assert_array_equal(np.sort(order), np.arange(n + b_pinned.shape[0]))
     # velocities in the order the factorization of A eliminates them
     velocities = order[order < n]
@@ -166,17 +172,17 @@ def test_saddle_order_respects_velocity_order(fixture, request):
         assert previous[previous < n][-1] in neighbours
         # a neighbour eliminated later lies on a separator enclosing the
         # smallest subtree of those eliminated earlier
-        common = os.path.commonprefix([_node_cuts(case.dissection, k) for k in before])
+        common = os.path.commonprefix([_node_cuts(dissection, k) for k in before])
         for k in after:
-            assert _encloses(_node_cuts(case.dissection, k), common)
-    np.testing.assert_array_equal(order, _reference_saddle_order(case, b_pinned))
+            assert _encloses(_node_cuts(dissection, k), common)
+    np.testing.assert_array_equal(order, _reference_saddle_order(case, dissection, b_pinned))
 
 
 def test_saddle_order_rejects_pressure_without_neighbour(case_p2p0_l2):
     red = case_p2p0_l2.reduced
     b = sp.vstack([red.B, sp.csr_array((1, red.dim))])
     with pytest.raises(SingularMatrixError, match="no velocity neighbour"):
-        saddle_order(case_p2p0_l2.a_factor.order, b, case_p2p0_l2.dissection)
+        saddle_order(b, _dissection(case_p2p0_l2))
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
@@ -214,7 +220,7 @@ def test_nested_dissection_order_of_a(level):
     np.testing.assert_array_equal(order[1::2], order[0::2] + m)
     # the top-level cut is the mesh line x = 1/2: its nodes separate the two
     # halves in A and are eliminated after both
-    x = red.V.dof_points[red.free % red.V.num_scalar_dofs, 0]
+    x = red.V.dof_points[red.free % red.V.dof_points.shape[0], 0]
     left, right = np.flatnonzero(x < 0.5), np.flatnonzero(x > 0.5)
     separator = np.flatnonzero(x == 0.5)
     assert left.size and right.size and separator.size
