@@ -157,16 +157,20 @@ class PreparedCase:
     a_factor: object
     projector: object
     problem: ManufacturedProblem
-    projection: str = DEFAULT_PROJECTION
+
+    @property
+    def projection(self) -> str:
+        """The realization of ``Pi`` that ``reduced`` was coupled with."""
+        return self.reduced.projection
 
     def operator(self, lam: float):
-        return lambda v: self.reduced.apply_lambda(lam, v, self.projection)
+        return lambda v: self.reduced.apply_lambda(lam, v)
 
     def preconditioner(self, lam: float) -> Preconditioner:
         return Preconditioner(lam, self.a_factor, self.projector)
 
     def rhs(self, lam: float):
-        return self.reduced.rhs(lam, self.projection)
+        return self.reduced.rhs(lam)
 
     @cached_property
     def theta_bounds(self) -> PencilBounds:
@@ -174,16 +178,13 @@ class PreparedCase:
 
         Computed on the first condition request by one pencil run, and
         kept: one pair serves every lam.  Where ``Pi`` is the L2 projection
-        (``MQ`` diagonal, or ``projection="exact"``), ``||Pi div v|| <=
-        ||eps(v)||`` on H^1_0 bounds theta_max by 1, which makes the upper
-        factor of every condition number 1, so the run asks only for
-        theta_min and 1.0 stands in for theta_max.
+        (``reduced.projection_is_l2``), ``||Pi div v|| <= ||eps(v)||`` on
+        H^1_0 bounds theta_max by 1, which makes the upper factor of every
+        condition number 1, so the run asks only for theta_min and 1.0
+        stands in for theta_max.
         """
-        mq = self.reduced.MQ
-        diagonal_mass = mq.count_nonzero() == np.count_nonzero(mq.diagonal())
-        l2_projection = self.projection == "exact" or diagonal_mass
-        bounds = schur_pencil_bounds(self.reduced, self.a_factor, self.projection,
-                                     largest=not l2_projection)
+        l2_projection = self.reduced.projection_is_l2
+        bounds = schur_pencil_bounds(self.reduced, self.a_factor, largest=not l2_projection)
         return replace(bounds, theta_max=1.0) if l2_projection else bounds
 
 
@@ -226,14 +227,14 @@ class _LevelPart:
         return factor_spd(self.stiffness.A, self.dissection.dof_order)
 
 
-def prepare_case(level: int, pair: str = "p2p0",
-                 projection: str = DEFAULT_PROJECTION, *,
+def prepare_case(level: int, pair: str, projection: str = DEFAULT_PROJECTION, *,
                  _shared: _LevelPart | None = None) -> PreparedCase:
     """Assemble and factor everything lam-independent for one case.
 
     ``_shared`` is the level part of ``level`` that other pairs' cases
     share; without it the case builds one of its own.  Whatever of the
     part is not built yet, the stiffness factor included, is built here.
+    The case's system is coupled with the pressure projection ``projection``.
 
     The saddle is factored before the part's ``A`` factor is read: its
     order needs only the dissection, and its pivot check briefly holds
@@ -243,11 +244,10 @@ def prepare_case(level: int, pair: str = "p2p0",
     """
     kind = pressure_kind(pair)
     part = _shared if _shared is not None else _LevelPart(level)
-    reduced = part.stiffness.couple(kind)
+    reduced = part.stiffness.couple(kind, projection)
     projector = build_projector(reduced, part.dissection)
-    return PreparedCase(
-        pair=pair, level=level, reduced=reduced, a_factor=part.a_factor,
-        projector=projector, problem=part.problem, projection=projection)
+    return PreparedCase(pair=pair, level=level, reduced=reduced, a_factor=part.a_factor,
+                        projector=projector, problem=part.problem)
 
 
 def sharpened_condition_estimate(case: PreparedCase, lam: float) -> float:
@@ -530,7 +530,7 @@ def _check_projected_operator(cases, rng) -> str:
                 v = rng.standard_normal(reduced.dim)
                 worst[lam] = max(worst[lam], _a_norm_defect(
                     reduced, case.projector.project_dual(
-                        reduced.apply_lambda(lam, v, case.projection)),
+                        reduced.apply_lambda(lam, v)),
                     case.projector.project(v)))
             worst_load[lam] = max(worst_load[lam], _a_norm_defect(
                 reduced, case.projector.project_dual(case.rhs(lam)),
@@ -547,11 +547,13 @@ def _check_projected_operator(cases, rng) -> str:
             f"load P A^-1 rhs(lambda) vs P A^-1 rhs_const: {detail_load}")
 
 
-def _check_norm_equivalence(cases, pencils, rng) -> str:
+def _check_norm_equivalence(cases, exact, pencil, rng) -> str:
+    """The two-sided bound on every case; ``||Pi_h div v||`` and beta_h both
+    read the exact-projection system ``exact(pair, level)``."""
     details = []
     for case in cases:
-        reduced = case.reduced
-        beta_h = float(np.sqrt(pencils[case.pair][case.level].theta_min))
+        reduced = exact(case.pair, case.level)
+        beta_h = float(np.sqrt(pencil(case.pair, case.level).theta_min))
         for _ in range(50):
             v = rng.standard_normal(reduced.dim)
             verify_norm_equivalence(reduced, case.projector, beta_h, v)
@@ -559,41 +561,32 @@ def _check_norm_equivalence(cases, pencils, rng) -> str:
     return "; ".join(details)
 
 
-def _check_inf_sup(pencils) -> str:
+def _check_inf_sup(pencil) -> str:
     """beta_h of both pairs at ``_INF_SUP_LEVELS`` and theta_max <= 2.
 
     beta_h is ``sqrt(theta_min)`` of the exact-projection pencil
-    ``B A^{-1} B^T q = theta MQ q``.  ``pencils`` holds its L2-L3 bounds,
-    theta_max included.  Beyond L3 the top end of the pencil crowds
-    towards 1, and a run that also reads theta_max is costly: 329 / 226
-    ``A`` solves at L4 and 1185 / 752 at L5 (p2p0 / p2p1), the last past
-    the run's step cap.  So the finer levels read beta_h alone, from a run
-    that asks only for the low end (34 / 30 solves at L5), on a level part
-    built here and coupled to each pair's pressure space; no saddle is
-    factored for it, and the parts are freed on return.
+    ``B A^{-1} B^T q = theta MQ q``, and ``pencil(pair, level)`` its bounds,
+    theta_max included at L2-L3 only.  Beyond L3 the top end of the pencil
+    crowds towards 1, and a run that also reads theta_max is costly: 329 /
+    226 ``A`` solves at L4 and 1185 / 752 at L5 (p2p0 / p2p1), the last
+    past the run's step cap.  So the finer levels read beta_h alone, from a
+    run that asks only for the low end (34 / 30 solves at L5); no saddle is
+    factored for them.
     """
-    parts = {level: _LevelPart(level) for level in _INF_SUP_LEVELS}
     details = []
-    for pair, by_level in pencils.items():
-        betas = {}
-        for level, bounds in by_level.items():
-            _require(bounds.theta_max <= 2.0 + 1e-8,
-                     f"{pair}@L{level}: theta_max {bounds.theta_max:.6f} exceeds 2")
-            betas[level] = float(np.sqrt(bounds.theta_min))
-        for level in _INF_SUP_LEVELS:
-            if level not in betas:
-                part = parts[level]
-                reduced = part.stiffness.couple(pressure_kind(pair))
-                betas[level] = float(np.sqrt(schur_pencil_bounds(
-                    reduced, part.a_factor, "exact").theta_min))
-        levels = sorted(betas)
-        spread = abs(betas[levels[-1]] - betas[levels[0]]) / betas[levels[-1]]
+    for pair in PAIRS:
+        bounds = [pencil(pair, level) for level in _INF_SUP_LEVELS]
+        tops = {level: b.theta_max for level, b in zip(_INF_SUP_LEVELS, bounds)
+                if b.theta_max is not None}
+        for level, top in tops.items():
+            _require(top <= 2.0 + 1e-8, f"{pair}@L{level}: theta_max {top:.6f} exceeds 2")
+        betas = [float(np.sqrt(b.theta_min)) for b in bounds]
+        spread = abs(betas[-1] - betas[0]) / betas[-1]
         _require(spread < 0.2, f"{pair}: inf-sup varies by {spread:.1%} across levels")
-        measured = sorted(by_level)
         details.append(f"{pair}: beta_h " +
-                       ", ".join(f"L{l}={betas[l]:.4f}" for l in levels) +
-                       f", theta_max <= {max(b.theta_max for b in by_level.values()):.6f}"
-                       f" at L{measured[0]}-L{measured[-1]}")
+                       ", ".join(f"L{l}={b:.4f}" for l, b in zip(_INF_SUP_LEVELS, betas)) +
+                       f", theta_max <= {max(tops.values()):.6f}"
+                       f" at L{min(tops)}-L{max(tops)}")
     return "; ".join(details)
 
 
@@ -617,8 +610,7 @@ def _check_dense_cross_check(cases) -> str:
         cell = solve_cell(case, 0.4999)
         _require(cell.error is None, f"{case.pair}@L{case.level}: {cell.error}")
         spectrum = dense_preconditioned_spectrum(case.reduced, cell.lam,
-                                                 case.a_factor, case.projector,
-                                                 case.projection)
+                                                 case.a_factor, case.projector)
         dense = spectrum[-1] / spectrum[0]
         rel = abs(cell.condition - dense) / dense
         _require(rel <= 0.05,
@@ -694,28 +686,30 @@ def run_fourier_checks(seed: int = 0) -> list[CheckOutcome]:
 def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
     """Run every identity/property check; returns one outcome per check."""
     rng = np.random.default_rng(seed)
-    parts = {level: _LevelPart(level) for level in (2, 3)}
+    parts = {level: _LevelPart(level) for level in _INF_SUP_LEVELS}
     cases = {(pair, level): prepare_case(level, pair, _shared=parts[level])
              for pair in PAIRS for level in (2, 3)}
     l23 = list(cases.values())
     l3 = [cases[("p2p0", 3)], cases[("p2p1", 3)]]
 
     @functools.cache
-    def pencils():
-        # read once for both checks that use them; a failure is not cached,
-        # so each of them reports it
-        bounds = {pair: {} for pair in PAIRS}
-        for (pair, level), case in cases.items():
-            bounds[pair][level] = schur_pencil_bounds(case.reduced, case.a_factor,
-                                                      "exact", largest=True)
-        return bounds
+    def exact(pair, level):
+        # the L2-projection system that every beta_h is read off
+        return parts[level].stiffness.couple(pressure_kind(pair), "exact")
+
+    @functools.cache
+    def pencil(pair, level):
+        # read once for both checks that use it; a failure is not cached, so
+        # each of them reports it.  theta_max only at the levels of the cases
+        return schur_pencil_bounds(exact(pair, level), parts[level].a_factor,
+                                   largest=(pair, level) in cases)
 
     return _run_checks(_fourier_checks(rng) + [
         ("projection-idempotent-and-divergence", lambda: _check_projection(l23, rng)),
         ("projection-one-step-equals-two-step",
          lambda: _check_one_step_projection(cases[("p2p0", 2)], rng)),
-        ("norm-equivalence", lambda: _check_norm_equivalence(l23, pencils(), rng)),
-        ("inf-sup", lambda: _check_inf_sup(pencils())),
+        ("norm-equivalence", lambda: _check_norm_equivalence(l23, exact, pencil, rng)),
+        ("inf-sup", lambda: _check_inf_sup(pencil)),
         ("preconditioner-symmetry",
          lambda: _check_preconditioner_symmetry(cases[("p2p1", 2)], rng)),
         ("dense-spectrum-cross-check", lambda: _check_dense_cross_check(l23)),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .bench import (PAIRS, ExperimentConfig, emit_report, run_fourier_checks,
@@ -39,15 +40,25 @@ class _ConfigError(Exception):
     """A configuration error: ``main`` prints it and returns ``EXIT_CONFIG``."""
 
 
+@contextlib.contextmanager
 def _output(path):
     """``sys.stdout``, or the file ``path`` opened for writing, as a context
-    manager.  Called once the inputs are validated and before any work."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
+    manager, entered once the inputs are validated and before any work.  An
+    ``OSError`` while it is opened, written or closed is a ``_ConfigError``;
+    stdout then points at the null device, so that the interpreter's exit
+    flush cannot fail again on what is left in its buffer."""
     try:
-        return open(path, "w")
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w")) as stream:
+            yield stream
+            stream.flush()
     except OSError as exc:
-        raise _ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+        if path is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "standard output" if path is None else f"--out {path}"
+        raise _ConfigError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,14 +131,6 @@ def _write_outcomes(run_checks, seed: int, path) -> int:
     return EXIT_OK if all(o.passed for o in outcomes) else EXIT_VERIFY
 
 
-def _cmd_fourier(args) -> int:
-    return _write_outcomes(run_fourier_checks, args.seed, args.out)
-
-
-def _cmd_verify(args) -> int:
-    return _write_outcomes(run_verification_suite, args.seed, args.out)
-
-
 def _cmd_mesh_info(args) -> int:
     try:
         mesh = build_uniform_mesh(args.level)
@@ -149,8 +152,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {
         "bench": _cmd_bench,
-        "fourier-check": _cmd_fourier,
-        "verify": _cmd_verify,
+        "fourier-check": lambda a: _write_outcomes(run_fourier_checks, a.seed, a.out),
+        "verify": lambda a: _write_outcomes(run_verification_suite, a.seed, a.out),
         "mesh-info": _cmd_mesh_info,
     }[args.command]
     try:

@@ -9,12 +9,11 @@ linears (P1).  Assembled operators:
 * ``MQ`` -- pressure mass matrix, from which ``D = diag(MQ)``, the diagonal
   realization of the pressure projection, is derived (exact for P0)
 
-The scaled operator ``A_lam = A + lam * B^T D^{-1} B`` is the matrix form of
-the modified bilinear form ``(eps(u),eps(v)) + lam*(div v, Pi_h div u)``.
-For continuous pressures the projection can alternatively be applied through
-the exact mass inverse (``projection="exact"``), which solves with a
-factorization of ``MQ`` instead of dividing by its diagonal; for piecewise
-constants the two coincide.
+The scaled operator ``A_lam = A + lam * B^T Pi B`` is the matrix form of the
+modified bilinear form ``(eps(u),eps(v)) + lam*(div v, Pi_h div u)``.
+``couple`` fixes ``Pi`` once, with the pressure space: ``"diagonal"`` divides
+by ``D``, ``"exact"`` solves with ``MQ`` (the L2 projection); for piecewise
+constants the two coincide.  No other module tells them apart.
 """
 
 from __future__ import annotations
@@ -130,8 +129,8 @@ class ManufacturedProblem:
     so the body force ``f = -div eps(u) = pi^2 u`` is independent of the
     compressibility parameter and the same forcing drives every ``lam``.
     Boundary data is the trace of ``u``.  ``displacement_and_gradient`` is
-    the one definition of the field; a problem with another field overrides
-    it alone.
+    the one definition of the field, but ``body_force = pi^2 u`` holds for
+    this field only: a problem with another field overrides both.
     """
 
     def displacement_and_gradient(self, points: np.ndarray):
@@ -325,7 +324,7 @@ def assemble_load(problem: ManufacturedProblem, V: DofSpace) -> np.ndarray:
 
 
 PROJECTION_MODES = ("diagonal", "exact")
-# the realization of the pressure projection that every signature defaults to
+# the realization of the pressure projection a bench case is coupled with by default
 DEFAULT_PROJECTION = "diagonal"
 
 
@@ -365,31 +364,38 @@ class ReducedStiffness:
     A: sp.csr_array
     rhs_const: np.ndarray = field(repr=False)
 
-    def couple(self, pressure_kind: str) -> ReducedSystem:
+    def couple(self, pressure_kind: str, projection: str) -> ReducedSystem:
         """The reduced system with a pressure space of ``pressure_kind``
-        ("p0" or "p1") on this mesh: builds the space, assembles ``B`` and
-        ``MQ`` and reduces ``B`` against the free dofs and the lift.  The
-        system holds this stiffness's arrays themselves, not copies."""
+        ("p0" or "p1") on this mesh and ``Pi`` realized as ``projection``:
+        builds the space, assembles ``B`` and ``MQ`` and reduces ``B``
+        against the free dofs and the lift.  The system holds this
+        stiffness's arrays themselves, not copies."""
+        if projection not in PROJECTION_MODES:
+            raise ValueError(f"unknown projection mode {projection!r}; "
+                             f"expected one of {PROJECTION_MODES}")
         Q = build_space(self.V.mesh, pressure_kind)
         B = assemble_div(self.V, Q)
         return ReducedSystem(V=self.V, free=self.free, lift=self.lift, A=self.A,
                              rhs_const=self.rhs_const, Q=Q, B=B[:, self.free].tocsr(),
-                             MQ=assemble_pressure_mass(Q), _b_lift=B @ self.lift)
+                             MQ=assemble_pressure_mass(Q), projection=projection,
+                             _b_lift=B @ self.lift)
 
 
 @dataclass
 class ReducedSystem(ReducedStiffness):
     """A reduced stiffness coupled to a pressure space ``Q``.
 
-    Carries ``A_lam = A + lam * B^T Pi B``; ``Pi`` divides by ``D``, which
-    is derived from ``MQ``, or solves with ``MQ``.  The reduced right-hand
-    side depends on the compressibility parameter through the lift, so it
-    is exposed as ``rhs(lam)``; the lam-independent pieces are precomputed.
+    Carries ``A_lam = A + lam * B^T Pi B``; ``Pi`` of ``projection`` divides
+    by ``D``, which is derived from ``MQ``, or solves with ``MQ``.  The
+    reduced right-hand side depends on the compressibility parameter through
+    the lift, so it is exposed as ``rhs(lam)``; the lam-independent pieces
+    are precomputed.
     """
 
     Q: DofSpace
     B: sp.csr_array
     MQ: sp.csr_array
+    projection: str
     _b_lift: np.ndarray = field(repr=False)
 
     @property
@@ -413,22 +419,28 @@ class ReducedSystem(ReducedStiffness):
         order = nested_dissection(self.Q.dof_points, self.Q.mesh.h).order
         return factor_spd(self.MQ, order)
 
-    def pressure_projection_apply(self, w: np.ndarray,
-                                  projection: str = DEFAULT_PROJECTION) -> np.ndarray:
-        if projection == "diagonal":
+    @property
+    def projection_is_l2(self) -> bool:
+        """Whether ``Pi`` is the L2 projection: exact, or ``MQ`` diagonal (P0)."""
+        return (self.projection == "exact"
+                or self.MQ.count_nonzero() == np.count_nonzero(self.D))
+
+    def pressure_projection_apply(self, w: np.ndarray) -> np.ndarray:
+        """``Pi w`` for a vector or a block of columns ``w``."""
+        if self.projection == "diagonal":
             # scale rows, so a block of columns (nq, k) is handled per column
             return (w.T / self.D).T
-        if projection == "exact":
-            return self.mq_factor.solve(w)
-        raise ValueError(f"unknown projection mode {projection!r}; "
-                         f"expected one of {PROJECTION_MODES}")
+        return self.mq_factor.solve(w)
 
-    def apply_lambda(self, lam: float, v: np.ndarray,
-                     projection: str = DEFAULT_PROJECTION) -> np.ndarray:
+    def pressure_weight(self, q: np.ndarray) -> np.ndarray:
+        """``W q`` with ``W = Pi^{-1}``, for a vector ``q``."""
+        return self.D * q if self.projection == "diagonal" else self.MQ @ q
+
+    def apply_lambda(self, lam: float, v: np.ndarray) -> np.ndarray:
         """Apply ``A_lam`` without forming the product."""
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
-        pv = self.pressure_projection_apply(self.B @ v, projection)
+        pv = self.pressure_projection_apply(self.B @ v)
         return self.A @ v + lam * (self.BT @ pv)
 
     def lambda_matrix(self, lam: float,
@@ -447,10 +459,10 @@ class ReducedSystem(ReducedStiffness):
         scaled = sp.diags_array(1.0 / self.D) @ self.B
         return (self.A + lam * (self.BT @ scaled)).tocsr()
 
-    def rhs(self, lam: float, projection: str = DEFAULT_PROJECTION) -> np.ndarray:
+    def rhs(self, lam: float) -> np.ndarray:
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
-        lift_term = self.BT @ self.pressure_projection_apply(self._b_lift, projection)
+        lift_term = self.BT @ self.pressure_projection_apply(self._b_lift)
         return self.rhs_const - lam * lift_term
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .fem import DEFAULT_PROJECTION, ReducedSystem
+from .fem import ReducedSystem
 from .mesh import NestedDissection
 from .sparse_linalg import (Factorization, factor_symmetric_indefinite,
                             saddle_order)
@@ -170,7 +170,7 @@ class Preconditioner:
                 + self.plain_weight * self.a_factor.solve(g))
 
 
-def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6):
+def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float):
     """Conjugate gradients preconditioned with ``M`` of ``Preconditioner``.
 
     The iteration stops on the true relative residual ``||b - A x|| / ||b||``,
@@ -268,15 +268,14 @@ def pcg_solve(op, rhs: np.ndarray, preconditioner, tol: float = 1e-6):
 
 
 def schur_pencil_bounds(reduced: ReducedSystem, a_factor: Factorization,
-                        projection: str = DEFAULT_PROJECTION,
                         largest: bool = False) -> PencilBounds:
     """Extreme nonzero eigenvalues of the pencil ``B A^{-1} B^T q = theta W q``.
 
-    ``W`` is the inverse of the pressure projection ``Pi`` of ``projection``:
-    ``MQ`` for ``"exact"``, ``D = diag(MQ)`` for ``"diagonal"``.  One Lanczos
-    run on ``q -> Pi B A^{-1} B^T q`` in the ``W`` inner product returns
-    theta_min, and theta_max too where ``largest``; each step makes one
-    ``A`` solve through ``a_factor``, the factor of ``reduced.A``.  The run
+    ``W`` is the inverse of the pressure projection ``Pi`` that ``reduced``
+    was coupled with (``reduced.pressure_weight``).  One Lanczos run on
+    ``q -> Pi B A^{-1} B^T q`` in the ``W`` inner product returns theta_min,
+    and theta_max too where ``largest``; each step makes one ``A`` solve
+    through ``a_factor``, the factor of ``reduced.A``.  The run
     starts from a seeded standard normal vector (so reruns repeat bit for
     bit) and keeps its whole basis, reorthogonalized twice per step.  It
     reads the Ritz residual ``beta_j |s_j|`` of each asked end at every
@@ -293,16 +292,7 @@ def schur_pencil_bounds(reduced: ReducedSystem, a_factor: Factorization,
     converge within ``_PENCIL_MAX_STEPS`` steps, or theta_min is not
     positive (an unstable pair).
     """
-    if projection == "exact":
-        mq = reduced.MQ
-
-        def weigh(q):
-            return mq @ q
-    else:
-        d = reduced.D
-
-        def weigh(q):
-            return d * q
+    weigh = reduced.pressure_weight
     n = reduced.B.shape[0]
     w_one = weigh(np.ones(n))
     mass = float(w_one.sum())
@@ -319,7 +309,7 @@ def schur_pencil_bounds(reduced: ReducedSystem, a_factor: Factorization,
     for k in range(basis.shape[0]):
         basis[k] = u / beta
         u = reduced.pressure_projection_apply(
-            reduced.B @ a_factor.solve(reduced.BT @ basis[k]), projection)
+            reduced.B @ a_factor.solve(reduced.BT @ basis[k]))
         alpha = 0.0
         for _ in range(2):
             h = basis[:k + 1] @ weigh(u)
@@ -328,7 +318,7 @@ def schur_pencil_bounds(reduced: ReducedSystem, a_factor: Factorization,
             alpha += h[k]
         beta = math.sqrt(u @ weigh(u))
         if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise SpectrumError(f"Schur pencil ({projection} projection) met a "
+            raise SpectrumError(f"Schur pencil ({reduced.projection} projection) met a "
                                 f"non-finite value at Lanczos step {k + 1}")
         alphas[k], betas[k] = alpha, beta
         exact = beta == 0.0 or k + 1 == n - 1
@@ -348,7 +338,7 @@ def schur_pencil_bounds(reduced: ReducedSystem, a_factor: Factorization,
         if len(found) == len(ends):
             break
     else:
-        raise SpectrumError(f"Schur pencil ({projection} projection) did not "
+        raise SpectrumError(f"Schur pencil ({reduced.projection} projection) did not "
                             f"converge in {max_steps} Lanczos steps (Ritz "
                             f"residual {worst:.3e})")
     if not found[0] > 0.0:
@@ -362,7 +352,8 @@ def verify_norm_equivalence(reduced: ReducedSystem, projector: StokesProjector,
     """Check ``beta_h <= ||Pi_h div v|| / ||eps(v - P v)|| <= sqrt(2)``.
 
     ``beta_h`` is the inf-sup constant, the square root of theta_min of
-    ``schur_pencil_bounds`` with the exact projection.  Returns the two
+    ``schur_pencil_bounds`` on a system coupled with the exact projection;
+    ``Pi_h`` here is the L2 projection whatever ``reduced``'s.  Returns the two
     slack values ``(dv - beta_h * e, sqrt(2) * e - dv)``; both must be at
     least ``-_NORM_SLACK``, otherwise ``NormEquivalenceError`` is raised.
     The pressure mass is factored once per system and reused.
@@ -393,15 +384,14 @@ def dense_preconditioner_matrix(lam: float, a_factor: Factorization,
 
 def dense_preconditioned_spectrum(reduced: ReducedSystem, lam: float,
                                   a_factor: Factorization,
-                                  projector: StokesProjector,
-                                  projection: str = DEFAULT_PROJECTION) -> np.ndarray:
+                                  projector: StokesProjector) -> np.ndarray:
     """Eigenvalues of the preconditioned operator ``M A_lam``, ascending.
 
     Uses the congruence ``eig(M A_lam) = eig(R^T A_lam R)`` with
     ``M = R R^T``, which keeps the problem symmetric.  ``A_lam`` is
-    ``apply_lambda`` of the identity.
+    ``apply_lambda`` of the identity, with the system's own ``Pi``.
     """
     m = dense_preconditioner_matrix(lam, a_factor, projector)
     chol = np.linalg.cholesky(m)
-    a_lam = reduced.apply_lambda(lam, np.eye(reduced.dim), projection)
+    a_lam = reduced.apply_lambda(lam, np.eye(reduced.dim))
     return np.linalg.eigvalsh(chol.T @ a_lam @ chol)

@@ -234,9 +234,9 @@ def test_criterion_7_norm_equivalence():
     ok = True
     for pair in ("p2p0", "p2p1"):
         for level in (2, 3):
-            case = prepare_case(level, pair)
+            case = prepare_case(level, pair, "exact")
             red = case.reduced
-            beta = np.sqrt(schur_pencil_bounds(red, case.a_factor, "exact",
+            beta = np.sqrt(schur_pencil_bounds(red, case.a_factor,
                                                largest=True).theta_min)
             mq_factor = factor_spd(red.MQ, np.arange(red.MQ.shape[0]))
             ratios = []

@@ -14,6 +14,11 @@ class's ``__init__`` assigns.  It must be read, as an attribute loaded
 anywhere in those same files or as a string literal equal to its name.
 The check is by name, so a field shares the reads of every attribute
 spelled like it.
+
+A defaulted parameter of a public function or method must be left out by
+at least one call of it in those same files, where any call exists (calls
+matched by name): a default that every call overrides serves only the
+tests, and the parameter is made required.
 """
 
 import ast
@@ -117,3 +122,63 @@ def test_every_stored_field_is_read_outside_the_tests():
     unread = [f"{where}: {cls}.{name}" for where, cls, name in _fields()
               if name not in read]
     assert unread == []
+
+
+# Exempt from the default check: ``(definition, parameter)`` whose default
+# stays although every call passes it.  perfbench's correctness gate calls
+# ``lambda_matrix(lam, projection)`` positionally, and the method goes when
+# the gate stops forming ``A_lam`` (ROADMAP item 2).
+_KEPT_DEFAULTS = {("ReducedSystem.lambda_matrix", "projection")}
+
+
+def _defaulted_parameters(node):
+    """``(name, position)`` of each parameter of ``node`` with a default;
+    ``position`` is its index among the positional arguments of a call, or
+    ``None`` for a keyword-only parameter.  A method's ``self`` is no
+    argument of a call ``x.method(...)``."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if positional and positional[0].arg in ("self", "cls"):
+        positional = positional[1:]
+    for index in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[index].arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls(tree, name):
+    """The calls in ``tree`` of a function or attribute spelled ``name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if ((isinstance(func, ast.Name) and func.id == name)
+                    or (isinstance(func, ast.Attribute) and func.attr == name)):
+                yield node
+
+
+def _passes(call, parameter, position) -> bool:
+    """Whether ``call`` passes ``parameter`` by keyword or by position; a
+    call that unpacks ``*args`` or ``**kwargs`` is not known to."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    if any(k.arg == parameter for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_no_default_that_every_call_overrides():
+    """A defaulted parameter that every call in ``src/``, the demos and
+    perfbench passes serves only the tests: it is made required."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in USERS]
+    overridden = []
+    for where, name, node in _public_definitions():
+        if isinstance(node, ast.ClassDef):
+            continue
+        calls = [call for tree in trees for call in _calls(tree, node.name)]
+        for parameter, position in _defaulted_parameters(node):
+            if (calls and all(_passes(c, parameter, position) for c in calls)
+                    and (name, parameter) not in _KEPT_DEFAULTS):
+                overridden.append(f"{where}: {name}({parameter}=...), "
+                                  f"{len(calls)} of {len(calls)} calls pass it")
+    assert overridden == []

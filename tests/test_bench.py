@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -392,6 +393,17 @@ def _assert_same_csr(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+@pytest.mark.parametrize("projection", ["diagonal", "exact"])
+def test_case_projection_is_its_systems(projection):
+    case = bench.prepare_case(2, "p2p1", projection)
+    assert case.projection == case.reduced.projection == projection
+
+
+def test_prepare_case_rejects_unknown_pair():
+    with pytest.raises(ValueError, match="unknown element pair 'p3p1'"):
+        bench.prepare_case(2, "p3p1")
+
+
 @pytest.mark.parametrize("level", [2, 3])
 def test_handed_off_case_equals_lone_case(level):
     part = bench._LevelPart(level)
@@ -421,7 +433,7 @@ def test_handed_off_case_equals_lone_case(level):
 
 def test_stiffness_failure_fails_both_pairs_of_its_level(monkeypatch):
     original = bench.factor_spd
-    l2_size = bench.prepare_case(2).reduced.dim
+    l2_size = bench.prepare_case(2, "p2p0").reduced.dim
 
     def indefinite_at_l2(matrix, order):
         return original(-matrix if matrix.shape[0] == l2_size else matrix, order)
@@ -511,6 +523,11 @@ def test_cli_bench_repeated_entry_is_config_error(grid, capsys):
     assert "is listed more than once" in captured.err
 
 
+def test_cli_bench_empty_level_range_is_config_error(capsys):
+    assert cli.main(["bench", "--levels", "3..2"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: at least one level is required\n"
+
+
 def _refuse_run(*args, **kwargs):
     raise AssertionError("the run started")
 
@@ -532,6 +549,39 @@ def test_cli_unwritable_out_is_config_error_before_any_run(argv, tmp_path, monke
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["bench", "--pair", "p2p0", "--levels", "2..2",
+                                   "--nu", "0.25"],
+                                  ["verify"], ["fourier-check"],
+                                  ["mesh-info", "--level", "2"]])
+def test_cli_failed_write_is_config_error(argv, monkeypatch, capsys):
+    # /dev/full opens, then every write to it fails with ENOSPC
+    monkeypatch.setattr(cli, "run_verification_suite",
+                        lambda seed: [bench.CheckOutcome("stand-in", True, "")])
+    assert cli.main([*argv, "--out", "/dev/full"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write --out /dev/full: "
+                            f"{os.strerror(errno.ENOSPC)}\n")
+
+
+def test_cli_closed_stdout_pipe_is_config_error():
+    # the L6 dump is larger than a pipe's buffer, so the writer meets the
+    # closed pipe while it dumps
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    with subprocess.Popen([sys.executable, "-m", "elastprec.cli", "mesh-info",
+                           "--level", "6", "--dump"], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith("level 6: ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == cli.EXIT_CONFIG
+    assert err == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
 
 
 def test_cli_config_error_leaves_existing_out_untouched(tmp_path):
@@ -574,7 +624,7 @@ def test_cli_bench_solver_failure(monkeypatch, capsys):
 
 
 def test_cli_bench_nan_rhs(monkeypatch, capsys):
-    def nan_rhs(self, lam, projection="diagonal"):
+    def nan_rhs(self, lam):
         return np.full(self.dim, np.nan)
 
     monkeypatch.setattr(ReducedSystem, "rhs", nan_rhs)
@@ -629,6 +679,13 @@ def test_pencil_nonpositive_eigenvalue_raises(monkeypatch, case_p2p0_l2):
         solver.schur_pencil_bounds(case_p2p0_l2.reduced, a_factor)
 
 
+def test_pencil_non_finite_solve_raises(monkeypatch, case_p2p0_l2):
+    a_factor = case_p2p0_l2.a_factor
+    monkeypatch.setattr(a_factor, "solve", lambda rhs: np.full_like(rhs, np.nan))
+    with pytest.raises(SpectrumError, match="met a non-finite value at Lanczos step 1"):
+        solver.schur_pencil_bounds(case_p2p0_l2.reduced, a_factor)
+
+
 def test_cli_verify_pencil_failure(monkeypatch, capsys):
     monkeypatch.setattr(solver, "_PENCIL_MAX_STEPS", 1)
     assert cli.main(["verify"]) == cli.EXIT_VERIFY
@@ -664,11 +721,11 @@ def test_json_setup_record_of_failed_setup(capsys):
 def test_cli_verify_inf_sup_failure(monkeypatch, capsys):
     original = bench.schur_pencil_bounds
 
-    def unstable_exact(reduced, a_factor, projection, largest=False):
+    def unstable_exact(reduced, a_factor, largest=False):
         # only the inf-sup constant reads the exact-projection pencil here
-        if projection == "exact":
+        if reduced.projection == "exact":
             raise SpectrumError("forced unstable pair")
-        return original(reduced, a_factor, projection, largest)
+        return original(reduced, a_factor, largest)
 
     monkeypatch.setattr(bench, "schur_pencil_bounds", unstable_exact)
     assert cli.main(["verify"]) == cli.EXIT_VERIFY

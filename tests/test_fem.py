@@ -1,11 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
 
-from elastprec.fem import (ManufacturedProblem, apply_dirichlet,
+from elastprec.fem import (PROJECTION_MODES, ManufacturedProblem, apply_dirichlet,
                            assemble_div, assemble_epsilon_stiffness,
                            assemble_load,
                            assemble_pressure_mass, assemble_system,
@@ -214,6 +215,24 @@ def test_div_matches_per_cell_quadrature_oracle():
     assert np.max(np.abs(got)) > 1e-6  # nonzero interpolation divergence
 
 
+def _l1_space(kind):
+    return build_space(build_uniform_mesh(1), kind)
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: assemble_epsilon_stiffness(_l1_space("p1")), "strain stiffness"),
+    (lambda: assemble_div(_l1_space("p1"), _l1_space("p0")), "divergence form"),
+    (lambda: assemble_div(*[_l1_space("p2v")] * 2), "pressure space"),
+    (lambda: assemble_pressure_mass(_l1_space("p2v")), "pressure space"),
+    (lambda: assemble_load(ManufacturedProblem(), _l1_space("p1")), "load assembly"),
+    (lambda: compute_errors(np.zeros(9), ManufacturedProblem(), _l1_space("p1")),
+     "error evaluation"),
+], ids=["stiffness", "div-velocity", "div-pressure", "pressure-mass", "load", "errors"])
+def test_assembly_rejects_wrong_space(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_div_requires_matching_mesh():
     V = build_space(build_uniform_mesh(1), "p2v")
     Q = build_space(build_uniform_mesh(2), "p0")
@@ -357,10 +376,10 @@ def test_assembly_matches_per_cell_reference(jitter, level):
 # ---------------------------------------------------------------------------
 # the modified operator
 
-def _small_system(pressure="p0", level=2):
+def _small_system(pressure="p0", level=2, projection="diagonal"):
     problem = ManufacturedProblem()
     return apply_dirichlet(assemble_system(build_uniform_mesh(level), problem),
-                           problem).couple(pressure)
+                           problem).couple(pressure, projection)
 
 
 def test_lambda_operator_at_zero():
@@ -403,7 +422,7 @@ def test_lambda_operator_matrix_matches_application():
     v = rng.standard_normal(system.dim)
     mat = system.lambda_matrix(3.5, "diagonal")
     np.testing.assert_allclose(
-        mat @ v, system.apply_lambda(3.5, v, "diagonal"),
+        mat @ v, system.apply_lambda(3.5, v),
         rtol=1e-12, atol=1e-12)
     # the exact projection's A_lam is dense: it is only applied
     with pytest.raises(ValueError, match="apply_lambda"):
@@ -428,22 +447,47 @@ def test_exact_projection_equals_diagonal_for_p0():
     system = _small_system("p0")
     rng = np.random.default_rng(10)
     v = rng.standard_normal(system.dim)
-    np.testing.assert_allclose(system.apply_lambda(5.0, v, "exact"),
-                               system.apply_lambda(5.0, v, "diagonal"),
+    np.testing.assert_allclose(_small_system("p0", projection="exact").apply_lambda(5.0, v),
+                               system.apply_lambda(5.0, v),
                                rtol=1e-12, atol=1e-14)
+
+
+def test_exact_system_applies_the_mass_inverse():
+    # the system reads its projection off itself: A + lam B^T MQ^-1 B, formed
+    # densely here, and the load's lift term through the same MQ^-1
+    system = _small_system("p1", projection="exact")
+    assert system.projection == "exact"
+    lam = 3.5
+    b = system.B.toarray()
+    mq = system.MQ.toarray()
+    a_lam = system.A.toarray() + lam * (b.T @ np.linalg.solve(mq, b))
+    v = np.random.default_rng(13).standard_normal(system.dim)
+    np.testing.assert_allclose(system.apply_lambda(lam, v), a_lam @ v,
+                               rtol=1e-12, atol=1e-12 * np.abs(a_lam @ v).max())
+    b_lift = assemble_div(system.V, system.Q) @ system.lift
+    rhs = system.rhs_const - lam * (b.T @ np.linalg.solve(mq, b_lift))
+    np.testing.assert_allclose(system.rhs(lam), rhs, rtol=1e-12,
+                               atol=1e-12 * np.abs(rhs).max())
+
+
+def test_couple_rejects_unknown_projection():
+    system = _small_system("p0")
+    with pytest.raises(ValueError, match=re.escape(str(PROJECTION_MODES))):
+        system.couple("p1", "weird")
 
 
 @pytest.mark.parametrize("projection", ["diagonal", "exact"])
 @pytest.mark.parametrize("fixture", ["case_p2p0_l2", "case_p2p1_l2"])
 def test_lambda_operator_on_column_block(fixture, projection, request):
     # k == number of pressure dofs is the shape a wrong-axis scaling hides in
-    red = request.getfixturevalue(fixture).reduced
+    fixture_system = request.getfixturevalue(fixture).reduced
+    red = fixture_system.couple(fixture_system.Q.kind, projection)
     rng = np.random.default_rng(11)
     for k in (3, red.Q.dof_count):
         block = rng.standard_normal((red.dim, k))
-        expected = np.column_stack([red.apply_lambda(2499.5, block[:, j], projection)
+        expected = np.column_stack([red.apply_lambda(2499.5, block[:, j])
                                     for j in range(k)])
-        np.testing.assert_allclose(red.apply_lambda(2499.5, block, projection),
+        np.testing.assert_allclose(red.apply_lambda(2499.5, block),
                                    expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
 
@@ -460,8 +504,13 @@ def test_negative_lambda_rejected():
     system = _small_system()
     with pytest.raises(ValueError, match="nonnegative"):
         system.apply_lambda(-1.0, np.zeros(system.dim))
+    with pytest.raises(ValueError, match="nonnegative"):
+        system.rhs(-1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        system.lambda_matrix(-1.0)
+    # the projection is fixed when the system is coupled
     with pytest.raises(ValueError, match="projection"):
-        system.pressure_projection_apply(np.zeros(system.Q.dof_count), "weird")
+        system.couple("p0", "weird")
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +545,7 @@ def test_homogeneous_dirichlet_keeps_rhs():
     mesh = build_uniform_mesh(2)
     problem = ZeroBoundary()
     system = assemble_system(mesh, problem)
-    reduced = apply_dirichlet(system, problem).couple("p0")
+    reduced = apply_dirichlet(system, problem).couple("p0", "diagonal")
     assert np.max(np.abs(reduced.lift)) == 0.0
     np.testing.assert_array_equal(reduced.rhs(0.0), system.rhs[reduced.free])
     np.testing.assert_array_equal(reduced.rhs(100.0), system.rhs[reduced.free])

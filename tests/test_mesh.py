@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from elastprec.mesh import (_ND_LEAF, MAX_LEVEL, build_uniform_mesh, dump_mesh,
-                            nested_dissection)
+from elastprec.mesh import (_ND_LEAF, MAX_LEVEL, _build_edges, build_uniform_mesh,
+                            dump_mesh, nested_dissection)
 
 
 def _nd_order(points, h):
@@ -94,6 +94,13 @@ def test_level_validation():
         build_uniform_mesh(-1)
     with pytest.raises(ValueError, match="maximum"):
         build_uniform_mesh(MAX_LEVEL + 1)
+
+
+def test_edge_of_three_cells_is_refused():
+    # three triangles on the edge (0, 1)
+    cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(RuntimeError, match="edge shared by more than two cells"):
+        _build_edges(cells, 5)
 
 
 def test_mesh_arrays_read_only():

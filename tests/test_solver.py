@@ -20,9 +20,14 @@ def _anorm(reduced, v):
     return np.sqrt(v @ (reduced.A @ v))
 
 
+def _exact(reduced):
+    """``reduced``'s stiffness and pressure space coupled with the exact projection."""
+    return reduced.couple(reduced.Q.kind, "exact")
+
+
 def _inf_sup_bounds(case):
     """Bounds of the exact-projection pencil; beta_h is sqrt(theta_min)."""
-    return schur_pencil_bounds(case.reduced, case.a_factor, "exact", largest=True)
+    return schur_pencil_bounds(_exact(case.reduced), case.a_factor, largest=True)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +123,7 @@ def test_pcg_exact_preconditioner_one_iteration(case_p2p0_l3):
 def test_pcg_zero_rhs_guard(case_p2p0_l2):
     case = case_p2p0_l2
     x, report = pcg_solve(case.operator(1.0), np.zeros(case.reduced.dim),
-                          case.preconditioner(1.0))
+                          case.preconditioner(1.0), tol=1e-6)
     assert report.iterations == 0
     assert np.max(np.abs(x)) == 0.0
 
@@ -154,7 +159,7 @@ def test_pcg_nan_rhs_raises_at_once(case_p2p0_l3):
     rhs = case.rhs(lam)
     rhs[0] = np.nan
     with pytest.raises(PcgConvergenceError, match="non-finite") as err:
-        pcg_solve(case.operator(lam), rhs, case.preconditioner(lam))
+        pcg_solve(case.operator(lam), rhs, case.preconditioner(lam), tol=1e-6)
     assert err.value.report.iterations <= 1
 
 
@@ -195,7 +200,7 @@ def test_pcg_breakdown_names_its_step(case_p2p0_l2):
     precond = Preconditioner(0.0, flip_at_2, case.projector)
     with pytest.raises(PcgConvergenceError,
                        match=r"not positive definite .* step 2 \(r'z = -") as err:
-        pcg_solve(case.operator(lam), case.rhs(lam), precond)
+        pcg_solve(case.operator(lam), case.rhs(lam), precond, tol=1e-6)
     assert err.value.report.iterations == 2
     assert err.value.report.residual_history[-1] > 1e-6
 
@@ -211,7 +216,8 @@ def test_pcg_makes_one_saddle_solve(pair, lam):
             calls[role] += 1
             return solve(g)
         factor.solve = counted
-    _, report = pcg_solve(case.operator(lam), case.rhs(lam), case.preconditioner(lam))
+    _, report = pcg_solve(case.operator(lam), case.rhs(lam), case.preconditioner(lam),
+                          tol=1e-6)
     assert calls == {"A": report.iterations + 1, "saddle": 1}
 
 
@@ -246,7 +252,7 @@ def test_pcg_matches_reference_pcg(level, pair, projection):
     case = prepare_case(level, pair, projection)
     for lam in (0.0, 1.0, 2499.5):
         op, rhs, precond = case.operator(lam), case.rhs(lam), case.preconditioner(lam)
-        x, report = pcg_solve(op, rhs, precond)
+        x, report = pcg_solve(op, rhs, precond, tol=1e-6)
         x_ref, history_ref = _reference_pcg(op, rhs, precond, 1e-6)
         assert report.iterations == len(history_ref) - 1, lam
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref), lam
@@ -321,18 +327,18 @@ def test_lambda_uniformity_of_condition(case_p2p0_l3, case_p2p1_l3):
 @pytest.mark.parametrize("level", [1, 2])
 def test_schur_pencil_matches_dense(level, pair, projection):
     case = prepare_case(level, pair)
-    red = case.reduced
+    red = case.reduced.couple(case.reduced.Q.kind, projection)
     schur = red.B @ np.linalg.solve(red.A.toarray(), red.BT.toarray())
     w = red.MQ.toarray() if projection == "exact" else np.diag(red.D)
     # the smallest eigenvalue is the constant pressure's zero
     dense = scipy.linalg.eigh(0.5 * (schur + schur.T), w, eigvals_only=True)
     assert abs(dense[0]) <= 1e-12 * dense[-1]
     # both ends from one run
-    bounds = schur_pencil_bounds(red, case.a_factor, projection, largest=True)
+    bounds = schur_pencil_bounds(red, case.a_factor, largest=True)
     np.testing.assert_allclose([bounds.theta_min, bounds.theta_max],
                                [dense[1], dense[-1]], rtol=1e-8)
-    assert schur_pencil_bounds(red, case.a_factor, projection, largest=True) == bounds
-    low = schur_pencil_bounds(red, case.a_factor, projection)
+    assert schur_pencil_bounds(red, case.a_factor, largest=True) == bounds
+    low = schur_pencil_bounds(red, case.a_factor)
     assert low.theta_max is None
     np.testing.assert_allclose(low.theta_min, dense[1], rtol=1e-8)
 
@@ -442,16 +448,21 @@ def test_dense_spectrum_of_applied_operator_equals_formed_matrix(pair, projectio
     # as a matrix, with the projection applied to the densified B
     case = prepare_case(2, pair, projection)
     red = case.reduced
-    scaled = sp.csr_array(red.pressure_projection_apply(red.B.toarray(), projection))
+    scaled = sp.csr_array(red.pressure_projection_apply(red.B.toarray()))
     for nu in (0.0, 0.25, 0.4999):
         lam = poisson_to_lambda(nu)
         a_lam = (red.A + lam * (red.BT @ scaled)).toarray()
         m = dense_preconditioner_matrix(lam, case.a_factor, case.projector)
         chol = np.linalg.cholesky(m)
         expected = np.linalg.eigvalsh(chol.T @ a_lam @ chol)
-        got = dense_preconditioned_spectrum(red, lam, case.a_factor, case.projector,
-                                            projection)
+        got = dense_preconditioned_spectrum(red, lam, case.a_factor, case.projector)
         np.testing.assert_allclose(got, expected, rtol=1e-12, err_msg=f"nu={nu}")
+
+
+def test_dense_diagnostics_refuse_large_problems(case_p2p0_l2, monkeypatch):
+    monkeypatch.setattr(solver, "_DENSE_LIMIT", case_p2p0_l2.reduced.dim - 1)
+    with pytest.raises(ValueError, match="dense preconditioner limited"):
+        dense_preconditioner_matrix(1.0, case_p2p0_l2.a_factor, case_p2p0_l2.projector)
 
 
 def test_dense_spectrum_bounds(case_p2p1_l2):
@@ -459,8 +470,7 @@ def test_dense_spectrum_bounds(case_p2p1_l2):
     case = case_p2p1_l2
     for nu in (0.25, 0.4, 0.49, 0.499, 0.4999):
         lam = poisson_to_lambda(nu)
-        spec = dense_preconditioned_spectrum(case.reduced, lam,
-                                             case.a_factor, case.projector,
-                                             projection="exact")
+        spec = dense_preconditioned_spectrum(_exact(case.reduced), lam,
+                                             case.a_factor, case.projector)
         assert spec[0] > 0.0
         assert spec[-1] <= 2.0 + 1e-8

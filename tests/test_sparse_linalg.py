@@ -47,6 +47,16 @@ def test_spd_backward_stability(case_p2p0_l2):
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("factor", [factor_spd, factor_symmetric_indefinite])
+@pytest.mark.parametrize("matrix,error,match", [
+    (np.ones((2, 3)), ValueError, r"square matrix required, got shape \(2, 3\)"),
+    (np.array([[1.0, 0.0], [0.0, 0.0]]), SingularMatrixError, "exactly singular"),
+], ids=["non-square", "exactly-singular"])
+def test_factor_rejects_unfactorable_matrix(factor, matrix, error, match):
+    with pytest.raises(error, match=match):
+        factor(sp.csc_array(matrix), np.arange(2))
+
+
 def test_indefinite_swap():
     K = sp.csc_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
     f = factor_symmetric_indefinite(K, np.arange(2))
@@ -281,7 +291,7 @@ def test_factor_keeps_no_copy_of_its_triangles(pressure):
     # P2-P0 / P2-P1 saddle) at L4, against at most 0.05 MiB without them
     part = bench._LevelPart(4)
     order = part.dissection.dof_order
-    reduced = part.stiffness.couple(pressure)
+    reduced = part.stiffness.couple(pressure, "diagonal")
     factor, held = _held_mib(lambda: factor_spd(reduced.A, order))
     assert held < 0.1, held
     projector, held = _held_mib(lambda: build_projector(reduced, part.dissection))
