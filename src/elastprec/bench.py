@@ -23,8 +23,7 @@ from . import __version__, fourier
 from .fem import (DEFAULT_PROJECTION, PROJECTION_MODES, ManufacturedProblem,
                   ReducedStiffness, apply_dirichlet, assemble_system,
                   compute_errors)
-from .mesh import (MAX_LEVEL, NestedDissection, build_uniform_mesh,
-                   check_mesh_memory, nested_dissection)
+from .mesh import MAX_LEVEL, build_uniform_mesh, check_memory
 from .solver import (PcgConvergenceError, PencilBounds, Preconditioner,
                      SpectrumError, build_projector, dense_preconditioned_spectrum,
                      dense_preconditioner_matrix, pcg_solve, schur_pencil_bounds,
@@ -41,6 +40,14 @@ _INF_SUP_LEVELS = (2, 3, 4, 5)
 # Typed numerical failures: a bench cell records them, a verify check fails.
 _NUMERICAL_ERRORS = (PcgConvergenceError, SingularMatrixError, NotSpdError,
                      SpectrumError)
+
+# Peak RSS of a bench run, at its finest level since a level's part is freed
+# before the next: the imports (62 MiB), then the factors of A and of one
+# saddle, whose fill grows like cells * log2(cells).  Fresh processes of
+# ``bench --levels L..L --nu 0.4999`` peaked (RUSAGE_CHILDREN) at 67, 74, 110,
+# 297-303 and 1097-1162 MiB at L3-L7; these constants predict 1.1-1.3x at L5-L7.
+_RUN_BASE_BYTES = 70 * 2**20
+_RUN_BYTES_PER_CELL_LOG = 2800
 
 
 def poisson_to_lambda(nu: float) -> float:
@@ -60,7 +67,6 @@ class ExperimentConfig:
     levels: tuple = LEVELS_DEFAULT
     nu_values: tuple = NU_DEFAULT
     tolerance: float = 1e-6
-    max_level_guard: int = 6
     projection: str = DEFAULT_PROJECTION
 
     def __post_init__(self):
@@ -80,13 +86,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} {repeated[0]!r} is listed more than once")
         if not self.levels:
             raise ValueError("at least one level is required")
-        guard = min(self.max_level_guard, MAX_LEVEL)
         for level in self.levels:
-            if level < 0 or level > guard:
-                raise ValueError(
-                    f"level {level} outside the allowed range [0, {guard}] "
-                    f"(raise --max-level-guard for deeper meshes)")
-            check_mesh_memory(level)
+            if not 0 <= level <= MAX_LEVEL:
+                raise ValueError(f"level {level} outside the allowed range [0, {MAX_LEVEL}]")
+            cells = 2 * 4**level  # log2(cells) = 2 level + 1
+            check_memory(_RUN_BASE_BYTES + _RUN_BYTES_PER_CELL_LOG * cells * (2 * level + 1),
+                         f"a level-{level} bench run")
         for nu in self.nu_values:
             poisson_to_lambda(nu)
         if not 0.0 < self.tolerance < 1.0:
@@ -197,11 +202,10 @@ def pressure_kind(pair: str) -> str:
 class _LevelPart:
     """The pressure-free set-up of one level, which both pairs share.
 
-    The manufactured problem, the reduced stiffness and load, the nested
-    dissection of the free velocity nodes and the factor of ``A`` in its
-    order, each built the first time it is read and then kept.  A build
-    that raises keeps nothing, so the next read tries again.  It holds no
-    pressure space and no saddle factor.
+    The manufactured problem, the reduced stiffness and load and the factor
+    of ``A`` in the stiffness's dissection order, each built the first time
+    it is read and then kept.  A build that raises keeps nothing, so the
+    next read tries again.  It holds no pressure space and no saddle factor.
     """
 
     def __init__(self, level: int):
@@ -215,16 +219,8 @@ class _LevelPart:
             assemble_system(build_uniform_mesh(self.level), self.problem), self.problem)
 
     @cached_property
-    def dissection(self) -> NestedDissection:
-        # free dofs are blocked by component, so free node k owns dofs k and m + k
-        stiffness = self.stiffness
-        m = stiffness.free.size // 2
-        return nested_dissection(stiffness.V.dof_points[stiffness.free[:m]],
-                                 stiffness.V.mesh.h)
-
-    @cached_property
     def a_factor(self) -> Factorization:
-        return factor_spd(self.stiffness.A, self.dissection.dof_order)
+        return factor_spd(self.stiffness.A, self.stiffness.dissection.dof_order)
 
 
 def prepare_case(level: int, pair: str, projection: str = DEFAULT_PROJECTION, *,
@@ -237,15 +233,15 @@ def prepare_case(level: int, pair: str, projection: str = DEFAULT_PROJECTION, *,
     The case's system is coupled with the pressure projection ``projection``.
 
     The saddle is factored before the part's ``A`` factor is read: its
-    order needs only the dissection, and its pivot check briefly holds
-    SciPy's CSC copies of the saddle's triangular factors.  On a new part
-    that spike then comes before ``A``'s factor exists, which lowers the
-    peak memory of the set-up.
+    order needs only the stiffness's dissection, and its pivot check
+    briefly holds SciPy's CSC copies of the saddle's triangular factors.
+    On a new part that spike then comes before ``A``'s factor exists,
+    which lowers the peak memory of the set-up.
     """
     kind = pressure_kind(pair)
     part = _shared if _shared is not None else _LevelPart(level)
     reduced = part.stiffness.couple(kind, projection)
-    projector = build_projector(reduced, part.dissection)
+    projector = build_projector(reduced)
     return PreparedCase(pair=pair, level=level, reduced=reduced, a_factor=part.a_factor,
                         projector=projector, problem=part.problem)
 
@@ -562,7 +558,7 @@ def _check_norm_equivalence(cases, exact, pencil, rng) -> str:
 
 
 def _check_inf_sup(pencil) -> str:
-    """beta_h of both pairs at ``_INF_SUP_LEVELS`` and theta_max <= 2.
+    """beta_h of both pairs at ``_INF_SUP_LEVELS`` and theta_max <= 1.
 
     beta_h is ``sqrt(theta_min)`` of the exact-projection pencil
     ``B A^{-1} B^T q = theta MQ q``, and ``pencil(pair, level)`` its bounds,
@@ -571,7 +567,8 @@ def _check_inf_sup(pencil) -> str:
     226 ``A`` solves at L4 and 1185 / 752 at L5 (p2p0 / p2p1), the last
     past the run's step cap.  So the finer levels read beta_h alone, from a
     run that asks only for the low end (34 / 30 solves at L5); no saddle is
-    factored for them.
+    factored for them.  theta_max <= 1 is ``||Pi div v|| <= ||eps(v)||``,
+    which ``PreparedCase.theta_bounds`` assumes on every L2-projection system.
     """
     details = []
     for pair in PAIRS:
@@ -579,7 +576,7 @@ def _check_inf_sup(pencil) -> str:
         tops = {level: b.theta_max for level, b in zip(_INF_SUP_LEVELS, bounds)
                 if b.theta_max is not None}
         for level, top in tops.items():
-            _require(top <= 2.0 + 1e-8, f"{pair}@L{level}: theta_max {top:.6f} exceeds 2")
+            _require(top <= 1.0 + 1e-8, f"{pair}@L{level}: theta_max {top:.6f} exceeds 1")
         betas = [float(np.sqrt(b.theta_min)) for b in bounds]
         spread = abs(betas[-1] - betas[0]) / betas[-1]
         _require(spread < 0.2, f"{pair}: inf-sup varies by {spread:.1%} across levels")
@@ -704,12 +701,19 @@ def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
         return schur_pencil_bounds(exact(pair, level), parts[level].a_factor,
                                    largest=(pair, level) in cases)
 
+    def inf_sup():
+        try:
+            return _check_inf_sup(pencil)
+        finally:  # no later check reads the exact systems or the L4-L5 parts
+            exact.cache_clear()
+            del parts[4], parts[5]
+
     return _run_checks(_fourier_checks(rng) + [
         ("projection-idempotent-and-divergence", lambda: _check_projection(l23, rng)),
         ("projection-one-step-equals-two-step",
          lambda: _check_one_step_projection(cases[("p2p0", 2)], rng)),
         ("norm-equivalence", lambda: _check_norm_equivalence(l23, exact, pencil, rng)),
-        ("inf-sup", lambda: _check_inf_sup(pencil)),
+        ("inf-sup", inf_sup),
         ("preconditioner-symmetry",
          lambda: _check_preconditioner_symmetry(cases[("p2p1", 2)], rng)),
         ("dense-spectrum-cross-check", lambda: _check_dense_cross_check(l23)),

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "nearly-incompressible elasticity solver.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = ExperimentConfig()
+    defaults = ExperimentConfig  # its field defaults, without an instance's memory check
     bench = sub.add_parser("bench", help="reproduce the iteration/condition tables")
     bench.add_argument("--pair", choices=[*PAIRS, "both"], default="both")
     bench.add_argument("--levels", type=_parse_levels, default=defaults.levels,
@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=defaults.nu_values, metavar="NU1,NU2,...")
     bench.add_argument("--tol", type=float, default=defaults.tolerance)
     bench.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    bench.add_argument("--max-level-guard", type=int, default=defaults.max_level_guard)
     bench.add_argument("--projection", choices=PROJECTION_MODES,
                        default=defaults.projection,
                        help="pressure-projection realization in the operator")
@@ -106,7 +105,6 @@ def _cmd_bench(args) -> int:
     try:
         config = ExperimentConfig(pairs=pairs, levels=args.levels,
                                   nu_values=args.nu, tolerance=args.tol,
-                                  max_level_guard=args.max_level_guard,
                                   projection=args.projection)
     except ValueError as exc:
         raise _ConfigError(exc) from exc

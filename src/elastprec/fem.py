@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, nested_dissection
+from .mesh import Mesh, NestedDissection, nested_dissection
 from .quadrature import RULE_DEGREE5, RULE_DEGREE6, TriangleRule
 from .sparse_linalg import Factorization, factor_spd
 
@@ -128,28 +128,29 @@ class ManufacturedProblem:
     ``u = (sin(pi x) cos(pi y), -cos(pi x) sin(pi y))`` has ``div u = 0``,
     so the body force ``f = -div eps(u) = pi^2 u`` is independent of the
     compressibility parameter and the same forcing drives every ``lam``.
-    Boundary data is the trace of ``u``.  ``displacement_and_gradient`` is
-    the one definition of the field, but ``body_force = pi^2 u`` holds for
-    this field only: a problem with another field overrides both.
+    Boundary data is the trace of ``u``.  ``displacement`` is the one
+    definition of the field, but ``body_force = pi^2 u`` holds for this
+    field only: a problem with another field overrides both.
     """
 
-    def displacement_and_gradient(self, points: np.ndarray):
-        """``u`` and its gradient tensor ``G[n, i, j] = d u_i / d x_j``.
+    def displacement(self, points: np.ndarray, gradient: bool = False):
+        """``u``, and with ``gradient`` also its gradient tensor
+        ``G[n, i, j] = d u_i / d x_j`` as ``(u, G)``.
 
         One evaluation of the sines and cosines serves both.
         """
         x, y = points[:, 0], points[:, 1]
         sx, cx = np.sin(np.pi * x), np.cos(np.pi * x)
         sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
+        u = np.column_stack([sx * cy, -cx * sy])
+        if not gradient:
+            return u
         grad = np.empty((points.shape[0], 2, 2))
         grad[:, 0, 0] = np.pi * cx * cy
         grad[:, 0, 1] = -np.pi * sx * sy
         grad[:, 1, 0] = np.pi * sx * sy
         grad[:, 1, 1] = -np.pi * cx * cy
-        return np.column_stack([sx * cy, -cx * sy]), grad
-
-    def displacement(self, points: np.ndarray) -> np.ndarray:
-        return self.displacement_and_gradient(points)[0]
+        return u, grad
 
     def body_force(self, points: np.ndarray) -> np.ndarray:
         return np.pi**2 * self.displacement(points)
@@ -355,7 +356,8 @@ class ReducedStiffness:
 
     None of it depends on the pressure space, so the systems of both
     element pairs on one mesh share one: ``couple`` adds a pressure space.
-    ``rhs_const`` is the load minus ``A`` applied to the lift.
+    ``rhs_const`` is the load minus ``A`` applied to the lift; every factor of
+    ``A`` and of its saddles keeps ``dissection.dof_order`` of the free nodes.
     """
 
     V: DofSpace
@@ -363,6 +365,7 @@ class ReducedStiffness:
     lift: np.ndarray
     A: sp.csr_array
     rhs_const: np.ndarray = field(repr=False)
+    dissection: NestedDissection = field(repr=False)
 
     def couple(self, pressure_kind: str, projection: str) -> ReducedSystem:
         """The reduced system with a pressure space of ``pressure_kind``
@@ -376,7 +379,8 @@ class ReducedStiffness:
         Q = build_space(self.V.mesh, pressure_kind)
         B = assemble_div(self.V, Q)
         return ReducedSystem(V=self.V, free=self.free, lift=self.lift, A=self.A,
-                             rhs_const=self.rhs_const, Q=Q, B=B[:, self.free].tocsr(),
+                             rhs_const=self.rhs_const, dissection=self.dissection,
+                             Q=Q, B=B[:, self.free].tocsr(),
                              MQ=assemble_pressure_mass(Q), projection=projection,
                              _b_lift=B @ self.lift)
 
@@ -494,6 +498,9 @@ def apply_dirichlet(system: AssembledSystem,
         lift=lift,
         A=system.A[free][:, free].tocsr(),
         rhs_const=(system.rhs - system.A @ lift)[free],
+        # blocked by component: free node k owns free dofs k and m + k
+        dissection=nested_dissection(system.V.dof_points[free[:free.size // 2]],
+                                     system.V.mesh.h),
     )
 
 
@@ -522,7 +529,7 @@ def compute_errors(u_coeffs: np.ndarray, problem: ManufacturedProblem,
     uh = (coeffs @ values).reshape(nt, nq, 2)
     guh = (coeffs @ grads).reshape(nt, 2 * nq, 2) @ inv_t.transpose(0, 2, 1)
 
-    u, grad = problem.displacement_and_gradient(points)
+    u, grad = problem.displacement(points, gradient=True)
     du = uh - u.reshape(nt, nq, 2)
     dg = (guh - grad.reshape(nt, 2 * nq, 2)).reshape(nt, nq, 4)
     l2 = np.sqrt(np.einsum("tq,tqc,tqc->", w, du, du))

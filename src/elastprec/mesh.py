@@ -94,19 +94,19 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_mesh_memory(level: int) -> None:
-    """Raise ``ValueError`` if a level-``level`` mesh cannot fit in memory.
-
-    The estimate is the measured peak bytes per cell of a mesh build times
-    the cell count, against the machine's physical memory; nothing is
-    allocated.
-    """
-    need = 2 * 4**level * _MESH_BYTES_PER_CELL
+def check_memory(need: float, what: str) -> None:
+    """Raise ``ValueError`` if ``need`` bytes, the predicted peak of
+    ``what``, exceed the machine's physical memory; nothing is allocated."""
     have = _physical_memory_bytes()
     if need > have:
         raise ValueError(
-            f"a level-{level} mesh needs about {need / 2**30:.1f} GiB, more than "
+            f"{what} needs about {need / 2**30:.1f} GiB, more than "
             f"the {have / 2**30:.1f} GiB of physical memory")
+
+
+def check_mesh_memory(level: int) -> None:
+    """``check_memory`` of a level-``level`` mesh build (``_MESH_BYTES_PER_CELL``)."""
+    check_memory(2 * 4**level * _MESH_BYTES_PER_CELL, f"a level-{level} mesh")
 
 
 def build_uniform_mesh(level: int) -> Mesh:

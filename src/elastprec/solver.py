@@ -38,7 +38,6 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .fem import ReducedSystem
-from .mesh import NestedDissection
 from .sparse_linalg import (Factorization, factor_symmetric_indefinite,
                             saddle_order)
 
@@ -101,24 +100,20 @@ class PencilBounds:
 class StokesProjector:
     """Strain-orthogonal projection onto discretely divergence-free fields.
 
-    Implemented through the saddle system ``[[A, B^T], [B, 0]]`` with one
-    pressure dof pinned to zero (the constant-pressure nullspace of the
+    Implemented through the saddle ``[[A, B^T], [B, 0]]`` of ``reduced`` with
+    one pressure dof pinned to zero (the constant-pressure nullspace of the
     pure-Dirichlet problem); the velocity block is unaffected by the pin.
     The saddle is factored once, and reused by every application, in the
-    order of ``saddle_order``: the velocities in ``dissection.dof_order``,
-    the order ``A`` is factored in (``dissection`` is the nested dissection
-    of the velocity nodes), and each pressure inside one of its subtrees.
+    order of ``saddle_order``: the velocities in ``reduced.dissection.dof_order``,
+    the order ``A`` is factored in, and each pressure inside one of its subtrees.
     """
 
-    def __init__(self, A: sp.csr_array, B: sp.csr_array,
-                 dissection: NestedDissection):
-        self.A = A
-        self.n_velocity = A.shape[1]
-        self.n_pressure = B.shape[0]
-        b_pinned = B[:-1]
-        saddle = sp.block_array([[A, b_pinned.T], [b_pinned, None]], format="csc")
+    def __init__(self, reduced: ReducedSystem):
+        self.A, b_pinned = reduced.A, reduced.B[:-1]
+        self.n_velocity, self.n_pressure = reduced.dim, reduced.B.shape[0]
+        saddle = sp.block_array([[self.A, b_pinned.T], [b_pinned, None]], format="csc")
         self.factorization: Factorization = factor_symmetric_indefinite(
-            saddle, saddle_order(b_pinned, dissection))
+            saddle, saddle_order(b_pinned, reduced.dissection))
 
     def project_dual(self, g: np.ndarray) -> np.ndarray:
         """Velocity block of the saddle solve with momentum data ``g``.
@@ -136,14 +131,9 @@ class StokesProjector:
         return self.project_dual(self.A @ w)
 
 
-def build_projector(reduced: ReducedSystem,
-                    dissection: NestedDissection) -> StokesProjector:
-    """Stokes projector on the Dirichlet-free space of a reduced system.
-
-    ``dissection`` is the nested dissection of the free velocity nodes,
-    whose dof order ``reduced.A`` is factored in; the saddle keeps it.
-    """
-    return StokesProjector(reduced.A, reduced.B, dissection)
+def build_projector(reduced: ReducedSystem) -> StokesProjector:
+    """Stokes projector on the Dirichlet-free space of a reduced system."""
+    return StokesProjector(reduced)
 
 
 class Preconditioner:

@@ -1,12 +1,14 @@
 import csv
 import dataclasses
 import errno
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from elastprec.bench import (ExperimentConfig, emit_report, poisson_to_lambda,
                              run_table_experiment, run_verification_suite)
-from elastprec.fem import ReducedSystem
+from elastprec.fem import ReducedStiffness, ReducedSystem
 from elastprec.solver import PcgConvergenceError, SpectrumError
 from elastprec.sparse_linalg import NotSpdError
 from elastprec import bench, cli, mesh, solver, sparse_linalg
@@ -38,14 +40,16 @@ def test_lambda_from_poisson_values():
         poisson_to_lambda(0.5)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
+    # an 8 GiB machine, so that the memory check reads the same everywhere
+    monkeypatch.setattr(mesh, "_physical_memory_bytes", lambda: 8 * 2**30)
     with pytest.raises(ValueError, match="pair"):
         ExperimentConfig(pairs=("p9p9",))
     with pytest.raises(ValueError, match="Poisson"):
         ExperimentConfig(nu_values=(0.6,))
     with pytest.raises(ValueError, match="level"):
         ExperimentConfig(levels=(9,))
-    ExperimentConfig(levels=(7,), max_level_guard=8)  # guard can be raised
+    ExperimentConfig(levels=(7,))  # fits in memory, so it is accepted
     with pytest.raises(ValueError, match="tolerance"):
         ExperimentConfig(tolerance=0.0)
     with pytest.raises(ValueError, match="projection"):
@@ -489,7 +493,37 @@ def test_cli_mesh_info_refuses_mesh_beyond_memory(monkeypatch, capsys):
     assert "physical memory" in capsys.readouterr().err
     assert cli.main(["mesh-info", "--level", "2"]) == cli.EXIT_OK
     with pytest.raises(ValueError, match="physical memory"):
-        ExperimentConfig(levels=(9,), max_level_guard=9)
+        ExperimentConfig(levels=(9,))
+
+
+def test_bench_level_beyond_memory_is_refused(monkeypatch):
+    # on an 8 GiB machine every level up to L8 fits the run model; L9 and
+    # L10 do not, though their meshes alone (~170 MB and ~690 MB) would
+    monkeypatch.setattr(mesh, "_physical_memory_bytes", lambda: 8 * 2**30)
+    ExperimentConfig(levels=tuple(range(9)))
+    for level in (9, 10):
+        with pytest.raises(ValueError, match=rf"level-{level} .*physical memory"):
+            ExperimentConfig(levels=(level,))
+        mesh.check_mesh_memory(level)
+
+
+def test_cli_bench_beyond_memory_builds_nothing(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built before the memory check refused the level")
+
+    monkeypatch.setattr(mesh, "_physical_memory_bytes", lambda: 8 * 2**30)
+    monkeypatch.setattr(bench, "build_uniform_mesh", forbidden)
+    monkeypatch.setattr(bench, "assemble_system", forbidden)
+    assert cli.main(["bench", "--levels", "9..9"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "level-9" in err and "physical memory" in err
+
+
+def test_level_guard_option_is_gone():
+    assert "max_level_guard" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--max-level-guard", "7"])
+    assert exc.value.code == 2  # argparse's usage error
 
 
 def test_cli_bench_csv(tmp_path):
@@ -733,6 +767,57 @@ def test_cli_verify_inf_sup_failure(monkeypatch, capsys):
               if line.startswith("FAIL")]
     assert failed == ["FAIL norm-equivalence: forced unstable pair",
                       "FAIL inf-sup: forced unstable pair"]
+
+
+def test_cli_verify_theta_max_above_one_fails(monkeypatch, capsys):
+    # theta_max <= 1 on an L2-projection system is what PreparedCase.theta_bounds
+    # puts in place of the computed value, so a larger one must fail inf-sup
+    original = bench.schur_pencil_bounds
+
+    def loose_top(reduced, a_factor, largest=False):
+        bounds = original(reduced, a_factor, largest)
+        if reduced.projection == "exact" and largest:
+            return dataclasses.replace(bounds, theta_max=1.5)
+        return bounds
+
+    monkeypatch.setattr(bench, "schur_pencil_bounds", loose_top)
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == ["FAIL inf-sup: p2p0@L2: theta_max 1.500000 exceeds 1"]
+
+
+def test_verify_frees_the_inf_sup_levels_before_the_dense_checks(monkeypatch):
+    held = []  # weak references to the L4-L5 parts and the exact systems
+    original_part, original_couple = bench._LevelPart, ReducedStiffness.couple
+
+    def recording_part(level):
+        part = original_part(level)
+        if level > 3:
+            held.append(weakref.ref(part))
+        return part
+
+    def recording_couple(self, pressure_kind, projection):
+        system = original_couple(self, pressure_kind, projection)
+        if projection == "exact":
+            held.append(weakref.ref(system))
+        return system
+
+    alive = []
+    original_dense = bench._check_dense_cross_check
+
+    def dense(cases):
+        gc.collect()
+        alive.extend(ref for ref in held if ref() is not None)
+        return original_dense(cases)
+
+    monkeypatch.setattr(bench, "_LevelPart", recording_part)
+    monkeypatch.setattr(ReducedStiffness, "couple", recording_couple)
+    monkeypatch.setattr(bench, "_check_dense_cross_check", dense)
+    outcomes = run_verification_suite(seed=0)
+    assert all(o.passed for o in outcomes)
+    assert len(held) == 2 + 8
+    assert alive == []
 
 
 def test_cli_verify_failure(monkeypatch, capsys):

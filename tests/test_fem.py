@@ -60,7 +60,7 @@ def test_displacement_gradient_matches_symbolic():
     problem = ManufacturedProblem()
     rng = np.random.default_rng(4)
     pts = rng.uniform(0, 1, size=(20, 2))
-    got = problem.displacement_and_gradient(pts)[1]
+    got = problem.displacement(pts, gradient=True)[1]
     for i in range(2):
         for j in range(2):
             np.testing.assert_allclose(got[:, i, j],
@@ -71,9 +71,9 @@ def test_displacement_gradient_matches_symbolic():
 def test_displacement_and_gradient_equal_the_separate_fields():
     pts = np.random.default_rng(9).uniform(0, 1, size=(40, 2))
     for problem in (ManufacturedProblem(), _QuadraticProblem()):
-        u, grad = problem.displacement_and_gradient(pts)
+        u, grad = problem.displacement(pts, gradient=True)
         np.testing.assert_array_equal(u, problem.displacement(pts))
-        np.testing.assert_array_equal(grad, problem.displacement_and_gradient(pts)[1])
+        np.testing.assert_array_equal(grad, problem.displacement(pts, gradient=True)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +607,17 @@ def test_errors_of_interpolant_scale_cubically():
 class _QuadraticProblem(ManufacturedProblem):
     """A quadratic field, which the P2 space represents exactly."""
 
-    def displacement_and_gradient(self, points):
+    def displacement(self, points, gradient=False):
         x, y = points[:, 0], points[:, 1]
+        u = np.column_stack([x * x, x * y])
+        if not gradient:
+            return u
         g = np.empty((points.shape[0], 2, 2))
         g[:, 0, 0] = 2 * x
         g[:, 0, 1] = 0.0
         g[:, 1, 0] = y
         g[:, 1, 1] = x
-        return np.column_stack([x * x, x * y]), g
+        return u, g
 
 
 def test_errors_zero_for_exact_coefficients():
@@ -641,7 +644,7 @@ def _per_cell_errors(u_coeffs, problem, V):
     flat = (p0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)).reshape(-1, 2)
     shape = (V.mesh.num_cells, rule.num_points)
     u = problem.displacement(flat).reshape(shape + (2,))
-    gu = problem.displacement_and_gradient(flat)[1].reshape(shape + (2, 2))
+    gu = problem.displacement(flat, gradient=True)[1].reshape(shape + (2, 2))
     l2 = np.sqrt(np.sum(w * np.sum((uh - u) ** 2, axis=-1)))
     h1 = np.sqrt(np.sum(w * np.sum((guh - gu) ** 2, axis=(-2, -1))))
     return l2, h1

@@ -63,17 +63,11 @@ def test_indefinite_swap():
     np.testing.assert_allclose(f.solve(np.array([1.0, 2.0])), [2.0, 1.0])
 
 
-def _dissection(case):
-    """The nested dissection of the free velocity nodes of ``case``'s level,
-    whose dof order its ``A`` is factored in (the build is deterministic)."""
-    return bench._LevelPart(case.level).dissection
-
-
 def test_unpinned_stokes_matrix_is_singular(case_p2p0_l2):
     red = case_p2p0_l2.reduced
     saddle = sp.block_array([[red.A, red.B.T], [red.B, None]], format="csc")
     with pytest.raises(SingularMatrixError):
-        factor_symmetric_indefinite(saddle, saddle_order(red.B, _dissection(case_p2p0_l2)))
+        factor_symmetric_indefinite(saddle, saddle_order(red.B, red.dissection))
 
 
 def test_saddle_solve_matches_dense_oracle(case_p2p0_l2):
@@ -81,7 +75,7 @@ def test_saddle_solve_matches_dense_oracle(case_p2p0_l2):
     keep = np.arange(red.B.shape[0] - 1)
     saddle = sp.block_array([[red.A, red.B[keep].T], [red.B[keep], None]],
                             format="csc")
-    order = saddle_order(red.B[keep], _dissection(case_p2p0_l2))
+    order = saddle_order(red.B[keep], red.dissection)
     f = factor_symmetric_indefinite(saddle, order)
     rng = np.random.default_rng(13)
     b = rng.standard_normal(saddle.shape[0])
@@ -160,7 +154,7 @@ def test_saddle_order_respects_velocity_order(fixture, request):
     red = case.reduced
     n, m = red.dim, red.dim // 2
     b_pinned = red.B[np.arange(red.B.shape[0] - 1)]
-    dissection = _dissection(case)
+    dissection = red.dissection
     order = saddle_order(b_pinned, dissection)
     np.testing.assert_array_equal(np.sort(order), np.arange(n + b_pinned.shape[0]))
     # velocities in the order the factorization of A eliminates them
@@ -192,7 +186,7 @@ def test_saddle_order_rejects_pressure_without_neighbour(case_p2p0_l2):
     red = case_p2p0_l2.reduced
     b = sp.vstack([red.B, sp.csr_array((1, red.dim))])
     with pytest.raises(SingularMatrixError, match="no velocity neighbour"):
-        saddle_order(b, _dissection(case_p2p0_l2))
+        saddle_order(b, red.dissection)
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
@@ -290,11 +284,11 @@ def test_factor_keeps_no_copy_of_its_triangles(pressure):
     # U; kept on the factor they held 1.64 MiB (A) and 2.17 / 2.48 MiB (the
     # P2-P0 / P2-P1 saddle) at L4, against at most 0.05 MiB without them
     part = bench._LevelPart(4)
-    order = part.dissection.dof_order
+    order = part.stiffness.dissection.dof_order
     reduced = part.stiffness.couple(pressure, "diagonal")
     factor, held = _held_mib(lambda: factor_spd(reduced.A, order))
     assert held < 0.1, held
-    projector, held = _held_mib(lambda: build_projector(reduced, part.dissection))
+    projector, held = _held_mib(lambda: build_projector(reduced))
     assert held < 0.1, held
     # emptied, shape kept; the fill and the solves are SuperLU's own
     for f in (factor, projector.factorization):
