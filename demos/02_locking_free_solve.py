@@ -16,10 +16,10 @@
 # is first projected onto the pressure space.
 
 # %%
-from elastprec.bench import prepare_case, solve_cell
+from elastprec.bench import poisson_to_lambda, prepare_case, solve_cell
 
 for nu in (0.25, 0.49, 0.4999):
-    print(f"nu = {nu} (lambda = {nu / (1 - 2 * nu):g})")
+    print(f"nu = {nu} (lambda = {poisson_to_lambda(nu):g})")
     for level in (2, 3, 4):
         cell = solve_cell(prepare_case(level, "p2p0"), nu)
         print(f"  L={level}: {cell.iterations:2d} iterations, "

@@ -62,5 +62,5 @@ for fhat, name in ((np.array([0.0, 1.0]), "transverse"),
         print(f"{name:12s} lam={lam:8g}: |u_hat| = {np.linalg.norm(u):.6f}")
 
 # %% [markdown]
-# The sweep behind `elastprec fourier-check` repeats this over random
+# The `fourier-*` checks of `elastprec verify` repeat this over random
 # frequencies, data and parameters in 2D and 3D.

@@ -50,6 +50,16 @@ _RUN_BASE_BYTES = 70 * 2**20
 _RUN_BYTES_PER_CELL_LOG = 2800
 
 
+def _check_run_level(level: int) -> None:
+    """Raise ``ValueError`` for a level outside ``[0, MAX_LEVEL]`` or whose
+    predicted bench-run peak does not fit in physical memory."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level {level} outside the allowed range [0, {MAX_LEVEL}]")
+    cells = 2 * 4**level  # log2(cells) = 2 level + 1
+    check_memory(_RUN_BASE_BYTES + _RUN_BYTES_PER_CELL_LOG * cells * (2 * level + 1),
+                 f"a level-{level} bench run")
+
+
 def poisson_to_lambda(nu: float) -> float:
     """Scaled Lame parameter ``lam = nu / (1 - 2 nu)`` of a Poisson ratio.
 
@@ -73,7 +83,11 @@ class ExperimentConfig:
         if self.projection not in PROJECTION_MODES:
             raise ValueError(f"unknown projection mode {self.projection!r}")
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        object.__setattr__(self, "levels", tuple(int(l) for l in self.levels))
+        levels = tuple(self.levels)
+        for level in levels:
+            if isinstance(level, (bool, np.bool_)) or not float(level).is_integer():
+                raise ValueError(f"level {level!r} is not an integer")
+        object.__setattr__(self, "levels", tuple(int(l) for l in levels))
         object.__setattr__(self, "nu_values", tuple(float(n) for n in self.nu_values))
         for pair in self.pairs:
             if pair not in PAIRS:
@@ -87,11 +101,7 @@ class ExperimentConfig:
         if not self.levels:
             raise ValueError("at least one level is required")
         for level in self.levels:
-            if not 0 <= level <= MAX_LEVEL:
-                raise ValueError(f"level {level} outside the allowed range [0, {MAX_LEVEL}]")
-            cells = 2 * 4**level  # log2(cells) = 2 level + 1
-            check_memory(_RUN_BASE_BYTES + _RUN_BYTES_PER_CELL_LOG * cells * (2 * level + 1),
-                         f"a level-{level} bench run")
+            _check_run_level(level)
         for nu in self.nu_values:
             poisson_to_lambda(nu)
         if not 0.0 < self.tolerance < 1.0:
@@ -206,9 +216,12 @@ class _LevelPart:
     of ``A`` in the stiffness's dissection order, each built the first time
     it is read and then kept.  A build that raises keeps nothing, so the
     next read tries again.  It holds no pressure space and no saddle factor.
+    A level whose run would not fit in memory is refused before anything
+    is built.
     """
 
     def __init__(self, level: int):
+        _check_run_level(level)
         self.level = level
         self.problem = ManufacturedProblem()
 
@@ -656,15 +669,6 @@ def _check_lambda_uniformity(cases) -> str:
     return "; ".join(details)
 
 
-def _fourier_checks(rng) -> list:
-    return [
-        ("fourier-convex-combination", lambda: _check_fourier_convex(rng)),
-        ("fourier-inverse-idempotent", lambda: _check_fourier_idempotent(rng)),
-        ("fourier-stokes-symbol", lambda: _check_fourier_stokes(rng)),
-        ("fourier-symbol-inverse", lambda: _check_fourier_symbol_inverse(rng)),
-    ]
-
-
 def _run_checks(checks) -> list[CheckOutcome]:
     outcomes = []
     for name, fn in checks:
@@ -675,12 +679,7 @@ def _run_checks(checks) -> list[CheckOutcome]:
     return outcomes
 
 
-def run_fourier_checks(seed: int = 0) -> list[CheckOutcome]:
-    """Run the periodic-mode checks that open the verification suite."""
-    return _run_checks(_fourier_checks(np.random.default_rng(seed)))
-
-
-def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
+def run_verification_suite(seed: int) -> list[CheckOutcome]:
     """Run every identity/property check; returns one outcome per check."""
     rng = np.random.default_rng(seed)
     parts = {level: _LevelPart(level) for level in _INF_SUP_LEVELS}
@@ -708,7 +707,11 @@ def run_verification_suite(seed: int = 0) -> list[CheckOutcome]:
             exact.cache_clear()
             del parts[4], parts[5]
 
-    return _run_checks(_fourier_checks(rng) + [
+    return _run_checks([
+        ("fourier-convex-combination", lambda: _check_fourier_convex(rng)),
+        ("fourier-inverse-idempotent", lambda: _check_fourier_idempotent(rng)),
+        ("fourier-stokes-symbol", lambda: _check_fourier_stokes(rng)),
+        ("fourier-symbol-inverse", lambda: _check_fourier_symbol_inverse(rng)),
         ("projection-idempotent-and-divergence", lambda: _check_projection(l23, rng)),
         ("projection-one-step-equals-two-step",
          lambda: _check_one_step_projection(cases[("p2p0", 2)], rng)),

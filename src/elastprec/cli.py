@@ -1,4 +1,4 @@
-"""Command-line front end: bench, fourier-check, verify and mesh-info."""
+"""Command-line front end: bench, verify and mesh-info."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import contextlib
 import os
 import sys
 
-from .bench import (PAIRS, ExperimentConfig, emit_report, run_fourier_checks,
-                    run_table_experiment, run_verification_suite)
+from .bench import (PAIRS, ExperimentConfig, emit_report, run_table_experiment,
+                    run_verification_suite)
 from .fem import PROJECTION_MODES
 from .mesh import build_uniform_mesh, dump_mesh
 
@@ -82,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pressure-projection realization in the operator")
     bench.add_argument("--out", default=None, metavar="FILE")
 
-    fourier = sub.add_parser("fourier-check",
-                             help="run the verification suite's periodic-mode checks")
-    fourier.add_argument("--seed", type=_parse_seed, default=0)
-    fourier.add_argument("--out", default=None, metavar="FILE")
-
     verify = sub.add_parser("verify", help="run the release verification suite")
     verify.add_argument("--seed", type=_parse_seed, default=0)
     verify.add_argument("--out", default=None, metavar="FILE")
@@ -120,9 +115,9 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _write_outcomes(run_checks, seed: int, path) -> int:
-    with _output(path) as stream:
-        outcomes = run_checks(seed=seed)
+def _cmd_verify(args) -> int:
+    with _output(args.out) as stream:
+        outcomes = run_verification_suite(seed=args.seed)
         for outcome in outcomes:
             status = "PASS" if outcome.passed else "FAIL"
             stream.write(f"{status} {outcome.name}: {outcome.detail}\n")
@@ -150,8 +145,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {
         "bench": _cmd_bench,
-        "fourier-check": lambda a: _write_outcomes(run_fourier_checks, a.seed, a.out),
-        "verify": lambda a: _write_outcomes(run_verification_suite, a.seed, a.out),
+        "verify": _cmd_verify,
         "mesh-info": _cmd_mesh_info,
     }[args.command]
     try:

@@ -447,19 +447,23 @@ class ReducedSystem(ReducedStiffness):
         pv = self.pressure_projection_apply(self.B @ v)
         return self.A @ v + lam * (self.BT @ pv)
 
-    def lambda_matrix(self, lam: float,
-                      projection: str = DEFAULT_PROJECTION) -> sp.csr_array:
-        """Explicit sparse ``A_lam`` of the diagonal projection.
+    def lambda_matrix(self, lam: float, projection: str | None = None) -> sp.csr_array:
+        """Explicit sparse ``A_lam`` of this system, formed for the diagonal
+        projection only.
 
-        The exact projection's ``B^T MQ^{-1} B`` is dense, so that operator
-        is applied by ``apply_lambda`` alone and asking for it here raises
+        ``projection``, if given, must name the mode the system was coupled
+        with.  The exact projection's ``B^T MQ^{-1} B`` is dense, so that
+        operator is applied by ``apply_lambda`` alone; either mismatch raises
         ``ValueError``.
         """
         if lam < 0.0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
-        if projection != "diagonal":
+        if projection not in (None, self.projection):
+            raise ValueError(f"the system is coupled with the {self.projection!r} "
+                             f"projection, not {projection!r}")
+        if self.projection != "diagonal":
             raise ValueError(f"A_lam is formed for the diagonal projection only; "
-                             f"apply the {projection!r} one with apply_lambda")
+                             f"apply the {self.projection!r} one with apply_lambda")
         scaled = sp.diags_array(1.0 / self.D) @ self.B
         return (self.A + lam * (self.BT @ scaled)).tocsr()
 

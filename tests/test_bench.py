@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -50,6 +51,8 @@ def test_config_validation(monkeypatch):
     with pytest.raises(ValueError, match="level"):
         ExperimentConfig(levels=(9,))
     ExperimentConfig(levels=(7,))  # fits in memory, so it is accepted
+    levels = ExperimentConfig(levels=(np.int64(2), 3, 4.0)).levels
+    assert levels == (2, 3, 4) and all(type(level) is int for level in levels)
     with pytest.raises(ValueError, match="tolerance"):
         ExperimentConfig(tolerance=0.0)
     with pytest.raises(ValueError, match="projection"):
@@ -64,6 +67,13 @@ def test_config_validation(monkeypatch):
 def test_config_rejects_repeated_entry(field, values, repeated):
     with pytest.raises(ValueError, match=f"^{repeated} is listed more than once$"):
         ExperimentConfig(**{field: values})
+
+
+@pytest.mark.parametrize("level", [2.7, True, np.float64(3.5), np.bool_(False),
+                                   float("inf"), float("nan")])
+def test_config_rejects_non_integer_level(level):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'level {level!r}')} is not an integer$"):
+        ExperimentConfig(levels=(level,))
 
 
 def test_result_grid_complete(small_result):
@@ -507,6 +517,19 @@ def test_bench_level_beyond_memory_is_refused(monkeypatch):
         mesh.check_mesh_memory(level)
 
 
+def test_lone_case_beyond_memory_is_refused(monkeypatch):
+    # a fake 200 MiB machine: the L6 mesh fits, the predicted L6 run
+    # (about 354 MiB) does not, so the case must be refused before assembly
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assembled before the memory check refused the level")
+
+    monkeypatch.setattr(mesh, "_physical_memory_bytes", lambda: 200 * 2**20)
+    monkeypatch.setattr(bench, "assemble_system", forbidden)
+    mesh.check_mesh_memory(6)
+    with pytest.raises(ValueError, match=r"level-6 .*physical memory"):
+        bench.prepare_case(6, "p2p0")
+
+
 def test_cli_bench_beyond_memory_builds_nothing(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("built before the memory check refused the level")
@@ -566,11 +589,13 @@ def _refuse_run(*args, **kwargs):
     raise AssertionError("the run started")
 
 
-_CLI_RUNS = ("run_table_experiment", "run_verification_suite", "run_fourier_checks")
+_CLI_RUNS = ("run_table_experiment", "run_verification_suite")
 
 
 @pytest.mark.parametrize("argv", [["bench", "--pair", "p2p0", "--levels", "2..2"],
-                                  ["verify"], ["fourier-check"],
+                                  ["verify"],
+                                  ["bench", "--pair", "p2p0", "--levels", "2..2",
+                                   "--format", "csv"],
                                   ["mesh-info", "--level", "2"]])
 def test_cli_unwritable_out_is_config_error_before_any_run(argv, tmp_path, monkeypatch,
                                                            capsys):
@@ -588,7 +613,9 @@ def test_cli_unwritable_out_is_config_error_before_any_run(argv, tmp_path, monke
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [["bench", "--pair", "p2p0", "--levels", "2..2",
                                    "--nu", "0.25"],
-                                  ["verify"], ["fourier-check"],
+                                  ["verify"],
+                                  ["bench", "--pair", "p2p0", "--levels", "2..2",
+                                   "--nu", "0.25", "--format", "csv"],
                                   ["mesh-info", "--level", "2"]])
 def test_cli_failed_write_is_config_error(argv, monkeypatch, capsys):
     # /dev/full opens, then every write to it fails with ENOSPC
@@ -625,7 +652,7 @@ def test_cli_config_error_leaves_existing_out_untouched(tmp_path):
     assert out.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("command", ["verify", "fourier-check"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_cli_negative_seed_is_config_error(command, monkeypatch, capsys):
     for name in _CLI_RUNS:
         monkeypatch.setattr(cli, name, _refuse_run)
@@ -832,12 +859,13 @@ def test_cli_verify_failure(monkeypatch, capsys):
 
 
 def test_cli_fourier_check(capsys):
-    assert cli.main(["fourier-check", "--seed", "7"]) == cli.EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4
-    assert all(line.startswith("PASS fourier-") for line in lines)
+    # the periodic-mode checks open the verification suite
     assert cli.main(["verify", "--seed", "7"]) == cli.EXIT_OK
-    assert capsys.readouterr().out.splitlines()[:4] == lines
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:4]] == [
+        "PASS fourier-convex-combination", "PASS fourier-inverse-idempotent",
+        "PASS fourier-stokes-symbol", "PASS fourier-symbol-inverse"]
+    assert not any("fourier-" in line for line in lines[4:])
 
 
 def test_cli_fourier_check_fails_under_optimize():
@@ -846,7 +874,7 @@ def test_cli_fourier_check_fails_under_optimize():
               "import elastprec.fourier as fourier\n"
               "fourier.verify_convex_combination = lambda *args: 1.0\n"
               "from elastprec import cli\n"
-              "sys.exit(cli.main(['fourier-check']))\n")
+              "sys.exit(cli.main(['verify']))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"),
@@ -857,7 +885,7 @@ def test_cli_fourier_check_fails_under_optimize():
     lines = done.stdout.splitlines()
     assert lines[0] == ("FAIL fourier-convex-combination: "
                         "raw residual 1.000e+00 exceeds 1e-12")
-    assert all(line.startswith("PASS fourier-") for line in lines[1:])
+    assert all(line.startswith("PASS ") for line in lines[1:])
 
 
 def test_cli_exit_codes_distinct():

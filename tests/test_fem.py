@@ -424,9 +424,24 @@ def test_lambda_operator_matrix_matches_application():
     np.testing.assert_allclose(
         mat @ v, system.apply_lambda(3.5, v),
         rtol=1e-12, atol=1e-12)
-    # the exact projection's A_lam is dense: it is only applied
-    with pytest.raises(ValueError, match="apply_lambda"):
+    # a mode other than the system's own is refused
+    with pytest.raises(ValueError, match="'diagonal' projection, not 'exact'"):
         system.lambda_matrix(3.5, "exact")
+
+
+def test_lambda_matrix_is_the_systems_own():
+    diagonal = _small_system("p1")
+    exact = diagonal.couple("p1", "exact")
+    # the exact projection's A_lam is dense: it is only applied, never
+    # stood in for by the diagonal one
+    with pytest.raises(ValueError, match="apply_lambda"):
+        exact.lambda_matrix(2499.5)
+    with pytest.raises(ValueError, match="'exact' projection, not 'diagonal'"):
+        exact.lambda_matrix(2499.5, "diagonal")
+    # naming the system's own mode, as perfbench's gate does, changes nothing
+    mat, named = diagonal.lambda_matrix(2499.5), diagonal.lambda_matrix(2499.5, "diagonal")
+    for attr in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(mat, attr), getattr(named, attr))
 
 
 @pytest.mark.parametrize("fixture", ["case_p2p0_l2", "case_p2p1_l2"])
